@@ -456,7 +456,9 @@ pub(crate) fn run(
     }
     allocation.validate(problem, 1e-6)?;
     let objective = solution.objective();
-    let best_bound = solution.best_bound();
+    // A search stopped before it solved a node has no proven bound (−∞);
+    // report none rather than a non-finite number the wire codec rejects.
+    let best_bound = Some(solution.best_bound()).filter(|bound| bound.is_finite());
     let cu_counts = crate::solver::counts_of(problem, &allocation);
     let elapsed = start.elapsed();
     Ok(SolveReport {
@@ -467,11 +469,12 @@ pub(crate) fn run(
             // positive migration weight — have no such reading.
             relaxed_ii_ms: match options.mode {
                 ExactMode::IiOnly if !realloc.as_ref().is_some_and(|ctx| ctx.weight > 0.0) => {
-                    Some(best_bound)
+                    best_bound
                 }
                 _ => None,
             },
-            relaxation_gap: Some((objective - best_bound).max(0.0) / objective.abs().max(1.0)),
+            relaxation_gap: best_bound
+                .map(|bound| (objective - bound).max(0.0) / objective.abs().max(1.0)),
             proven_optimal: Some(solution.status() == MinlpStatus::Optimal),
             dropped_cus: vec![0; num_kernels],
             cu_counts,
@@ -739,5 +742,24 @@ mod tests {
         assert!(outcome.diagnostics.relaxation_gap.unwrap() >= 0.0);
         assert!(outcome.diagnostics.bb_nodes <= 50);
         outcome.allocation.validate(&p, 1e-6).unwrap();
+    }
+
+    #[test]
+    fn seeded_solve_without_nodes_reports_no_bound() {
+        // The seed becomes the answer, but no node was solved, so no bound
+        // (and no gap) is proven.
+        let p = toy_problem();
+        let report = SolveRequest::new(&p)
+            .backend(Backend::exact())
+            .node_budget(0)
+            .warm_start(WarmStart::none().with_cu_counts(vec![1, 1]))
+            .solve()
+            .unwrap();
+        assert!(report.diagnostics.warm_start.incumbent_used);
+        assert_eq!(report.diagnostics.bb_nodes, 0);
+        assert_eq!(report.diagnostics.proven_optimal, Some(false));
+        assert_eq!(report.diagnostics.relaxed_ii_ms, None);
+        assert_eq!(report.diagnostics.relaxation_gap, None);
+        report.allocation.validate(&p, 1e-9).unwrap();
     }
 }

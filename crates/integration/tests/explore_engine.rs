@@ -18,6 +18,7 @@ use mfa_alloc::gpa::GpaOptions;
 use mfa_explore::{
     constraint_grid, run_sweep, CaseSpec, ExecutorOptions, SolverSpec, SweepGrid, SweepSeries,
 };
+use mfa_minlp::SolverOptions;
 
 /// Wall-clock timing is the only field allowed to differ between runs.
 fn zero_timing(mut series: Vec<SweepSeries>) -> Vec<SweepSeries> {
@@ -99,7 +100,16 @@ fn engine_matches_core_sweep_gpa_on_vgg() {
 #[test]
 fn engine_matches_core_sweep_exact_on_alex16() {
     let constraints = [0.70, 0.80];
-    let options = ExactOptions::ii_only_with_budget(500, 5.0);
+    // A node cap with no wall-clock limit, as the quick figures use: both
+    // runs then stop at the same node on any machine.
+    let options = ExactOptions {
+        solver: SolverOptions {
+            max_nodes: 500,
+            time_limit_seconds: None,
+            ..SolverOptions::default()
+        },
+        ..ExactOptions::default()
+    };
     let grid = SweepGrid::builder()
         .case(CaseSpec::from_paper(PaperCase::Alex16OnTwoFpgas))
         .fpga_counts([2])

@@ -5,6 +5,16 @@
 //! variables and adding slack, surplus and artificial columns, then runs the
 //! classic two-phase tableau method. Dantzig's rule is used for speed with a
 //! switch to Bland's rule after a pivot budget to guarantee termination.
+//!
+//! The tableau is one row-major buffer. Each phase prices the reduced-cost
+//! row in full once, then keeps it. A pivot divides the pivot row and
+//! records its nonzero entries. It then updates each other row whose factor
+//! passes the `EPS` test, in those columns only: where the pivot row is
+//! zero, an update would subtract zero. The same columns are the only ones
+//! whose reduced costs can change, so only they are repriced, each with the
+//! full sum over the priced rows in ascending order. Every reduced cost thus
+//! equals a full recomputation (at most the sign of a zero differs, which no
+//! `EPS` test sees), and the pivot sequence is that of full repricing.
 
 use crate::model::{LpProblem, Relation, Sense};
 use crate::solution::{LpSolution, SolverStatus};
@@ -177,10 +187,12 @@ fn push_coeff(coeffs: &mut Vec<(usize, f64)>, col: usize, a: f64) {
     }
 }
 
-/// Dense tableau with an explicit basis.
+/// Dense tableau with an explicit basis, held row-major in one buffer.
 struct Tableau {
-    /// `rows × (total_cols + 1)`; last column is the right-hand side.
-    data: Vec<Vec<f64>>,
+    /// `rows × width`, `width = total_cols + 1`; the last entry of each row
+    /// is its right-hand side.
+    data: Vec<f64>,
+    width: usize,
     /// Basic column index per row.
     basis: Vec<usize>,
     total_cols: usize,
@@ -192,42 +204,65 @@ struct Tableau {
 }
 
 impl Tableau {
-    fn rhs(&self, row: usize) -> f64 {
-        self.data[row][self.total_cols]
+    fn row(&self, r: usize) -> &[f64] {
+        &self.data[r * self.width..(r + 1) * self.width]
     }
 
-    fn pivot(&mut self, row: usize, col: usize) {
-        let pivot_val = self.data[row][col];
-        let width = self.total_cols + 1;
-        for j in 0..width {
-            self.data[row][j] /= pivot_val;
-        }
-        for r in 0..self.data.len() {
-            if r == row {
-                continue;
+    fn rhs(&self, row: usize) -> f64 {
+        self.row(row)[self.total_cols]
+    }
+
+    /// Pivots on `(row, col)` and returns the pivot row's nonzero entries
+    /// (right-hand side included), normalized: the only columns the pivot
+    /// changed. Each other row whose factor passes the `EPS` test is updated
+    /// in those columns alone, since a zero there would subtract zero.
+    fn pivot(&mut self, row: usize, col: usize) -> Vec<(usize, f64)> {
+        let width = self.width;
+        let pivot_row = &mut self.data[row * width..(row + 1) * width];
+        let pivot_val = pivot_row[col];
+        let mut nonzeros = Vec::new();
+        for (j, a) in pivot_row.iter_mut().enumerate() {
+            let nonzero = *a != 0.0;
+            *a /= pivot_val;
+            if nonzero {
+                nonzeros.push((j, *a));
             }
-            let factor = self.data[r][col];
+        }
+        for r in (0..self.basis.len()).filter(|&r| r != row) {
+            let target = &mut self.data[r * width..(r + 1) * width];
+            let factor = target[col];
             if factor.abs() < EPS {
                 continue;
             }
-            for j in 0..width {
-                self.data[r][j] -= factor * self.data[row][j];
+            for &(j, a) in &nonzeros {
+                target[j] -= factor * a;
             }
         }
         self.basis[row] = col;
         self.pivots += 1;
+        nonzeros
     }
 
     /// Runs the simplex iteration on the current tableau for the given cost
     /// vector (length `total_cols`). Returns `None` if the LP is unbounded.
+    ///
+    /// The reduced-cost row is priced in full once, then kept: a pivot
+    /// changes only the columns where its pivot row is nonzero, and
+    /// [`Tableau::reprice`] recomputes exactly those with the same sum.
     fn optimize(&mut self, costs: &[f64], forbid_artificial: bool) -> Result<Option<()>, LpError> {
+        let mut reduced = self.price(costs);
         loop {
+            #[cfg(test)]
+            assert!(
+                reduced == self.reduced_costs(costs),
+                "maintained reduced costs differ from a full recomputation after {} pivots",
+                self.pivots
+            );
             if self.pivots >= self.max_pivots {
                 return Err(LpError::PivotBudgetExceeded {
                     pivots: self.pivots,
                 });
             }
-            let reduced = self.reduced_costs(costs);
             let use_bland = self.pivots >= DANTZIG_PIVOTS;
             let entering = self.pick_entering(&reduced, forbid_artificial, use_bland);
             let Some(col) = entering else {
@@ -236,8 +271,8 @@ impl Tableau {
             // Ratio test.
             let mut best_row: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
-            for r in 0..self.data.len() {
-                let a = self.data[r][col];
+            for r in 0..self.basis.len() {
+                let a = self.row(r)[col];
                 if a > EPS {
                     let ratio = self.rhs(r) / a;
                     let better = match best_row {
@@ -257,21 +292,67 @@ impl Tableau {
             let Some(row) = best_row else {
                 return Ok(None); // unbounded direction
             };
-            self.pivot(row, col);
+            let changed = self.pivot(row, col);
+            self.reprice(costs, &changed, &mut reduced);
         }
     }
 
+    /// Rows whose basic column has a nonzero cost, ascending, with that
+    /// cost: the only rows a reduced cost sums over.
+    fn priced_rows(&self, costs: &[f64]) -> Vec<(usize, f64)> {
+        self.basis
+            .iter()
+            .map(|&b| costs[b])
+            .enumerate()
+            .filter(|&(_, cb)| cb != 0.0)
+            .collect()
+    }
+
+    /// The full reduced-cost row `reduced_j = c_j − Σ_r c_B[r]·a_rj`: with a
+    /// full tableau, `B⁻¹A_j` is just the current column. Each entry sums
+    /// over the priced rows in ascending order.
+    fn price(&self, costs: &[f64]) -> Vec<f64> {
+        let mut reduced = costs.to_vec();
+        for (r, cb) in self.priced_rows(costs) {
+            for (red, &a) in reduced.iter_mut().zip(self.row(r)) {
+                *red -= cb * a;
+            }
+        }
+        reduced
+    }
+
+    /// Recomputes the reduced costs of the columns a pivot `changed`, each
+    /// with the same sum as [`Tableau::price`].
+    fn reprice(&self, costs: &[f64], changed: &[(usize, f64)], reduced: &mut [f64]) {
+        let cols = || {
+            changed
+                .iter()
+                .map(|&(j, _)| j)
+                .filter(|&j| j < self.total_cols)
+        };
+        for j in cols() {
+            reduced[j] = costs[j];
+        }
+        for (r, cb) in self.priced_rows(costs) {
+            let row = self.row(r);
+            for j in cols() {
+                reduced[j] -= cb * row[j];
+            }
+        }
+    }
+
+    /// The reduced-cost row recomputed column by column over every row: the
+    /// reference the maintained row must equal.
+    #[cfg(test)]
     fn reduced_costs(&self, costs: &[f64]) -> Vec<f64> {
-        // reduced_j = c_j − c_Bᵀ B⁻¹ A_j; with a full tableau, B⁻¹A_j is just
-        // the current column, and c_B are costs of basic columns.
-        let m = self.data.len();
+        let m = self.basis.len();
         let mut reduced = vec![0.0; self.total_cols];
         for (j, red) in reduced.iter_mut().enumerate() {
             let mut acc = costs[j];
             for r in 0..m {
                 let cb = costs[self.basis[r]];
                 if cb != 0.0 {
-                    acc -= cb * self.data[r][j];
+                    acc -= cb * self.row(r)[j];
                 }
             }
             *red = acc;
@@ -314,6 +395,21 @@ impl Tableau {
     }
 }
 
+/// The row's sign flip, relation and right-hand side once the right-hand
+/// side is made nonnegative.
+fn orient(row: &StdRow) -> (f64, Relation, f64) {
+    if row.rhs < 0.0 {
+        let relation = match row.relation {
+            Relation::LessEq => Relation::GreaterEq,
+            Relation::GreaterEq => Relation::LessEq,
+            Relation::Equal => Relation::Equal,
+        };
+        (-1.0, relation, -row.rhs)
+    } else {
+        (1.0, row.relation, row.rhs)
+    }
+}
+
 /// Solves the problem; the public entry point used by [`LpProblem::solve`]
 /// and [`LpProblem::solve_with`].
 pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
@@ -325,43 +421,33 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
         return solve_unconstrained(problem, &std_form);
     }
 
-    // Column layout: [structural | slack/surplus | artificial].
-    let mut num_slack = 0usize;
-    for row in &std_form.rows {
-        // A slack/surplus column is needed unless the row is an equality.
-        let rhs_nonneg = row.rhs >= 0.0;
-        match (row.relation, rhs_nonneg) {
-            (Relation::Equal, _) => {}
-            _ => num_slack += 1,
-        }
-    }
-    let total_cols_estimate = n + num_slack + m;
+    // Column layout: [structural | slack/surplus | artificial]. Every row
+    // but an equality gets a slack or surplus column; every `≥` or `=` row
+    // (after orientation) gets an artificial one.
+    let oriented: Vec<(f64, Relation, f64)> = std_form.rows.iter().map(orient).collect();
+    let num_slack = oriented
+        .iter()
+        .filter(|&&(_, relation, _)| relation != Relation::Equal)
+        .count();
+    let num_artificial = oriented
+        .iter()
+        .filter(|&&(_, relation, _)| relation != Relation::LessEq)
+        .count();
+    let total_cols = n + num_slack + num_artificial;
+    let width = total_cols + 1;
 
-    let mut data: Vec<Vec<f64>> = Vec::with_capacity(m);
+    let mut data = vec![0.0; m * width];
     let mut basis: Vec<usize> = vec![usize::MAX; m];
-    let mut artificial_flags = vec![false; total_cols_estimate];
+    let mut artificial_flags = vec![false; total_cols];
     let mut next_slack = n;
     let mut next_artificial = n + num_slack;
-    let mut artificial_used = 0usize;
 
-    for (r, row) in std_form.rows.iter().enumerate() {
-        let mut dense = vec![0.0; total_cols_estimate + 1];
-        let mut sign = 1.0;
-        let mut relation = row.relation;
-        let mut rhs = row.rhs;
-        if rhs < 0.0 {
-            sign = -1.0;
-            rhs = -rhs;
-            relation = match relation {
-                Relation::LessEq => Relation::GreaterEq,
-                Relation::GreaterEq => Relation::LessEq,
-                Relation::Equal => Relation::Equal,
-            };
-        }
+    for (r, (row, &(sign, relation, rhs))) in std_form.rows.iter().zip(&oriented).enumerate() {
+        let dense = &mut data[r * width..(r + 1) * width];
         for &(j, a) in &row.coeffs {
             dense[j] += sign * a;
         }
-        dense[total_cols_estimate] = rhs;
+        dense[total_cols] = rhs;
         match relation {
             Relation::LessEq => {
                 let s = next_slack;
@@ -375,7 +461,6 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
                 dense[s] = -1.0;
                 let a = next_artificial;
                 next_artificial += 1;
-                artificial_used += 1;
                 dense[a] = 1.0;
                 artificial_flags[a] = true;
                 basis[r] = a;
@@ -383,27 +468,16 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
             Relation::Equal => {
                 let a = next_artificial;
                 next_artificial += 1;
-                artificial_used += 1;
                 dense[a] = 1.0;
                 artificial_flags[a] = true;
                 basis[r] = a;
             }
         }
-        data.push(dense);
     }
-
-    // Trim unused artificial columns (keep indexing consistent by only
-    // trimming the tail, which is always the unused part).
-    let total_cols = n + (next_slack - n) + artificial_used;
-    for row in &mut data {
-        let rhs = row[total_cols_estimate];
-        row.truncate(total_cols);
-        row.push(rhs);
-    }
-    artificial_flags.truncate(total_cols);
 
     let mut tableau = Tableau {
         data,
+        width,
         basis,
         total_cols,
         artificial: artificial_flags,
@@ -412,7 +486,7 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
     };
 
     // Phase 1: minimize the sum of artificial variables.
-    if artificial_used > 0 {
+    if num_artificial > 0 {
         let mut phase1_costs = vec![0.0; total_cols];
         for (j, flag) in tableau.artificial.iter().enumerate() {
             if *flag {
@@ -450,8 +524,8 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
         // Drive remaining artificial variables out of the basis when possible.
         for r in 0..m {
             if tableau.artificial[tableau.basis[r]] {
-                let col = (0..n + (next_slack - n))
-                    .find(|&j| tableau.data[r][j].abs() > 1e-7 && !tableau.artificial[j]);
+                let col = (0..n + num_slack)
+                    .find(|&j| tableau.row(r)[j].abs() > 1e-7 && !tableau.artificial[j]);
                 if let Some(col) = col {
                     tableau.pivot(r, col);
                 }
@@ -540,7 +614,7 @@ fn solve_unconstrained(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LpProblem, Relation, Sense};
+    use crate::model::{LpProblem, Relation, Sense, VarId};
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "expected {b}, got {a}");
@@ -744,9 +818,198 @@ mod tests {
         .unwrap();
         lp.add_constraint("r3", &[(x3, 1.0)], Relation::LessEq, 1.0)
             .unwrap();
-        let s = lp.solve().unwrap();
+        // Dantzig's rule cycles here until the switch to Bland's rule after
+        // 5 000 pivots; Bland's rule then finishes in four.
+        let s = solve_pinned(&lp, 5_004);
         assert!(s.is_optimal());
         assert_close(s.objective(), -0.05, 1e-6);
+    }
+
+    /// Solves `lp` and checks its pivot count against the one recorded for
+    /// it, so a change that alters the pivot sequence shows up here.
+    fn solve_pinned(lp: &LpProblem, pivots: usize) -> LpSolution {
+        let s = lp.solve().unwrap();
+        assert_eq!(s.pivots(), pivots, "pivot count");
+        s
+    }
+
+    /// The Klee–Minty cube `max Σ 2^(n−j) x_j` s.t.
+    /// `Σ_{j<i} 2^(i−j+1) x_j + x_i ≤ 5^i`: Dantzig's rule visits all `2^n`
+    /// vertices before it reaches the optimum `x_n = 5^n`.
+    #[test]
+    fn klee_minty_cubes_take_exponentially_many_pivots() {
+        for (n, pivots) in [(3, 7), (4, 15), (5, 31), (6, 63)] {
+            let mut lp = LpProblem::new(Sense::Maximize);
+            let x: Vec<VarId> = (0..n)
+                .map(|j| lp.add_var(format!("x{j}"), 0.0, f64::INFINITY).unwrap())
+                .collect();
+            for (j, &v) in x.iter().enumerate() {
+                lp.set_objective_coefficient(v, 2f64.powi((n - 1 - j) as i32))
+                    .unwrap();
+            }
+            for i in 0..n {
+                let mut terms: Vec<(VarId, f64)> = (0..i)
+                    .map(|j| (x[j], 2f64.powi((i - j + 1) as i32)))
+                    .collect();
+                terms.push((x[i], 1.0));
+                lp.add_constraint(
+                    format!("r{i}"),
+                    &terms,
+                    Relation::LessEq,
+                    5f64.powi(i as i32 + 1),
+                )
+                .unwrap();
+            }
+            let s = solve_pinned(&lp, pivots);
+            assert!(s.is_optimal());
+            assert_close(s.objective(), 5f64.powi(n as i32), 1e-6);
+            assert_close(s.value(x[n - 1]), 5f64.powi(n as i32), 1e-6);
+        }
+    }
+
+    /// One LP with rows scaled by 1e-6 … 1e6 solves to the optimum of the
+    /// unscaled LP.
+    #[test]
+    fn badly_scaled_rows_keep_the_optimum() {
+        let rows: [(&[f64], Relation, f64); 5] = [
+            (&[1.0, 1.0, 2.0], Relation::LessEq, 4.0),
+            (&[2.0, 0.0, 1.0], Relation::LessEq, 5.0),
+            (&[1.0, 3.0, 0.0], Relation::GreaterEq, 1.0),
+            (&[3.0, 1.0, 1.0], Relation::LessEq, 7.0),
+            (&[0.0, 1.0, 1.0], Relation::LessEq, 3.0),
+        ];
+        let build = |scales: [f64; 5]| {
+            let mut lp = LpProblem::new(Sense::Maximize);
+            let x: Vec<VarId> = (0..3)
+                .map(|j| lp.add_var(format!("x{j}"), 0.0, f64::INFINITY).unwrap())
+                .collect();
+            for (&v, c) in x.iter().zip([3.0, 2.0, 4.0]) {
+                lp.set_objective_coefficient(v, c).unwrap();
+            }
+            for (i, ((coeffs, relation, rhs), scale)) in rows.iter().zip(scales).enumerate() {
+                let terms: Vec<(VarId, f64)> = x
+                    .iter()
+                    .zip(*coeffs)
+                    .map(|(&v, &a)| (v, a * scale))
+                    .collect();
+                lp.add_constraint(format!("r{i}"), &terms, *relation, rhs * scale)
+                    .unwrap();
+            }
+            lp
+        };
+        let plain = solve_pinned(&build([1.0; 5]), 5);
+        let scaled_lp = build([1e-6, 1e-3, 1.0, 1e3, 1e6]);
+        let scaled = solve_pinned(&scaled_lp, 5);
+        assert!(plain.is_optimal() && scaled.is_optimal());
+        assert_close(scaled.objective(), plain.objective(), 1e-9);
+        for (a, b) in scaled.values().iter().zip(plain.values()) {
+            assert_close(*a, *b, 1e-9);
+        }
+        assert!(scaled_lp.is_feasible(scaled.values(), 1e-6).unwrap());
+    }
+
+    /// A redundant equality (twice another row) leaves an artificial basic
+    /// at zero after phase 1 with no column to drive it out on; phase 2
+    /// must still reach the optimum with that artificial barred from
+    /// re-entering.
+    #[test]
+    fn redundant_equalities_keep_an_artificial_basic() {
+        // min x + 2y + 3z s.t. x + y + z = 6, 2x + 2y + 2z = 12, x − y = 1:
+        // z = 5 − 2y, objective 16 − 3y, optimum y = 2.5 → 8.5.
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_var("x", 0.0, f64::INFINITY).unwrap();
+        let y = lp.add_var("y", 0.0, f64::INFINITY).unwrap();
+        let z = lp.add_var("z", 0.0, f64::INFINITY).unwrap();
+        for (v, c) in [(x, 1.0), (y, 2.0), (z, 3.0)] {
+            lp.set_objective_coefficient(v, c).unwrap();
+        }
+        lp.add_constraint("sum", &[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Equal, 6.0)
+            .unwrap();
+        lp.add_constraint(
+            "twice",
+            &[(x, 2.0), (y, 2.0), (z, 2.0)],
+            Relation::Equal,
+            12.0,
+        )
+        .unwrap();
+        lp.add_constraint("diff", &[(x, 1.0), (y, -1.0)], Relation::Equal, 1.0)
+            .unwrap();
+        let s = solve_pinned(&lp, 2);
+        assert!(s.is_optimal());
+        assert_close(s.objective(), 8.5, 1e-9);
+        assert_close(s.value(x), 3.5, 1e-9);
+        assert_close(s.value(y), 2.5, 1e-9);
+        assert_close(s.value(z), 0.0, 1e-9);
+    }
+
+    /// Every row is satisfiable alone, so phase 1 has to pivot before its
+    /// positive optimum proves the LP infeasible.
+    #[test]
+    fn detects_infeasibility_after_phase_one_pivots() {
+        // x = 1 + y; x + 2y ≤ 4 ⇒ y ≤ 1; x + y ≥ 6 ⇒ y ≥ 2.5.
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_var("x", 0.0, f64::INFINITY).unwrap();
+        let y = lp.add_var("y", 0.0, f64::INFINITY).unwrap();
+        lp.set_objective_coefficient(x, 1.0).unwrap();
+        lp.set_objective_coefficient(y, 1.0).unwrap();
+        lp.add_constraint("lo", &[(x, 1.0), (y, 1.0)], Relation::GreaterEq, 6.0)
+            .unwrap();
+        lp.add_constraint("hi", &[(x, 1.0), (y, 2.0)], Relation::LessEq, 4.0)
+            .unwrap();
+        lp.add_constraint("tie", &[(x, 1.0), (y, -1.0)], Relation::Equal, 1.0)
+            .unwrap();
+        let s = solve_pinned(&lp, 2);
+        assert_eq!(s.status(), SolverStatus::Infeasible);
+    }
+
+    /// The shape of a branch-and-bound node relaxation: free auxiliary
+    /// columns held up by many tangent (`≥`) rows, latency rows tying them
+    /// to the objective column and one shared budget row.
+    #[test]
+    fn relaxation_shaped_lp_with_many_geq_rows_on_free_columns() {
+        // min II s.t. II ≥ aux_k ≥ tangents of w_k/N_k at N = 1..=8,
+        // Σ 0.09·N_k ≤ 1, N_k ∈ [1, 20]. The tangents underestimate w/N,
+        // so the optimum is at most the continuous 0.09·Σw = 6.48.
+        let wcets = [7.0, 9.5, 11.0, 13.5, 14.0, 17.0];
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let ii = lp.add_var("II", 0.0, 1000.0).unwrap();
+        lp.set_objective_coefficient(ii, 1.0).unwrap();
+        let mut budget = Vec::new();
+        for (k, w) in wcets.into_iter().enumerate() {
+            let n = lp.add_var(format!("N{k}"), 1.0, 20.0).unwrap();
+            let aux = lp
+                .add_var(format!("aux{k}"), f64::NEG_INFINITY, f64::INFINITY)
+                .unwrap();
+            for p in 1..=8 {
+                // aux ≥ w/p − (w/p²)(N − p).
+                let p = f64::from(p);
+                lp.add_constraint(
+                    format!("tangent{k}_{p}"),
+                    &[(aux, 1.0), (n, w / (p * p))],
+                    Relation::GreaterEq,
+                    2.0 * w / p,
+                )
+                .unwrap();
+            }
+            lp.add_constraint(
+                format!("latency{k}"),
+                &[(aux, 1.0), (ii, -1.0)],
+                Relation::LessEq,
+                0.0,
+            )
+            .unwrap();
+            budget.push((n, 0.09));
+        }
+        lp.add_constraint("budget", &budget, Relation::LessEq, 1.0)
+            .unwrap();
+        let s = solve_pinned(&lp, 63);
+        assert!(s.is_optimal());
+        assert!(lp.is_feasible(s.values(), 1e-7).unwrap());
+        assert!(
+            s.objective() > 6.0 && s.objective() <= 6.48 + 1e-9,
+            "II = {}",
+            s.objective()
+        );
     }
 
     #[test]

@@ -160,28 +160,22 @@ pub(crate) fn solve(
         lower_bound: f64::NEG_INFINITY,
         depth: 0,
     }));
-    // The tightest bound among pruned/open nodes, used for the final gap.
-    let mut best_open_bound = f64::NEG_INFINITY;
-    let mut hit_limit = false;
+    // Set when a node or time limit stops the search: the bound of the node
+    // popped then, which is dropped unexplored and so stays open.
+    let mut dropped_bound: Option<f64> = None;
 
     while let Some(OrderedNode(node)) = heap.pop() {
         // Global stopping tests.
-        if state.nodes_explored >= options.max_nodes {
-            hit_limit = true;
-            best_open_bound = best_open_bound.max(node.lower_bound);
+        let out_of_time = options
+            .time_limit_seconds
+            .is_some_and(|limit| start.elapsed().as_secs_f64() > limit);
+        if state.nodes_explored >= options.max_nodes || out_of_time {
+            dropped_bound = Some(node.lower_bound);
             break;
-        }
-        if let Some(limit) = options.time_limit_seconds {
-            if start.elapsed().as_secs_f64() > limit {
-                hit_limit = true;
-                best_open_bound = best_open_bound.max(node.lower_bound);
-                break;
-            }
         }
         // Best-first: if the best remaining node cannot improve on the
         // incumbent, the incumbent is optimal.
         if node.lower_bound >= state.incumbent_objective - gap_threshold(&state, options) {
-            best_open_bound = state.incumbent_objective;
             break;
         }
         state.nodes_explored += 1;
@@ -271,33 +265,19 @@ pub(crate) fn solve(
         // node's resolution (the bound stays as a valid global lower bound).
     }
 
-    // Collect the tightest open bound that remains for gap reporting.
-    for OrderedNode(node) in heap.iter() {
-        // Open nodes: their parent bound is a valid lower bound for them.
-        if node.lower_bound < best_open_bound || best_open_bound == f64::NEG_INFINITY {
-            // track the *minimum* open bound (worst case for the gap)
-        }
-        best_open_bound = if best_open_bound == f64::NEG_INFINITY {
-            node.lower_bound
-        } else {
-            best_open_bound.min(node.lower_bound)
-        };
-    }
-    if heap.is_empty() && !hit_limit {
-        best_open_bound = state.incumbent_objective;
-    }
-
     match state.incumbent {
         Some(values) => {
-            let status = if hit_limit && !heap.is_empty() {
-                MinlpStatus::Feasible
-            } else {
-                MinlpStatus::Optimal
-            };
-            let best_bound = if status == MinlpStatus::Optimal {
-                state.incumbent_objective
-            } else {
-                best_open_bound.min(state.incumbent_objective)
+            // A search stopped by a limit proves nothing: the dropped node
+            // and every queued one are open, and their parents' bounds are
+            // valid lower bounds for them.
+            let (status, best_bound) = match dropped_bound {
+                Some(dropped) => {
+                    let open = heap.iter().fold(dropped, |bound, OrderedNode(node)| {
+                        bound.min(node.lower_bound)
+                    });
+                    (MinlpStatus::Feasible, open.min(state.incumbent_objective))
+                }
+                None => (MinlpStatus::Optimal, state.incumbent_objective),
             };
             let solution = MinlpSolution::new(
                 status,
@@ -314,7 +294,7 @@ pub(crate) fn solve(
                 solution
             })
         }
-        None if hit_limit => Err(MinlpError::NodeLimitWithoutSolution {
+        None if dropped_bound.is_some() => Err(MinlpError::NodeLimitWithoutSolution {
             nodes: state.nodes_explored,
         }),
         None => Ok(MinlpSolution::new(
@@ -769,6 +749,49 @@ mod tests {
         p.clear_initial_incumbent();
         let cold = p.solve().unwrap();
         assert!((sol.objective() - cold.objective()).abs() < 1e-9);
+    }
+
+    /// A node cap that fires on the last queued node must still report the
+    /// search as unfinished: that node was dropped unexplored.
+    #[test]
+    fn node_cap_on_the_last_open_node_is_not_optimal() {
+        let (p, _) = six_kernel_problem();
+        let optimum = p.solve().unwrap();
+        assert_eq!(optimum.status(), MinlpStatus::Optimal);
+        assert!((optimum.objective() - 8.5).abs() < 1e-9);
+        let capped = p
+            .solve_with(&SolverOptions {
+                max_nodes: 2,
+                ..SolverOptions::default()
+            })
+            .unwrap();
+        assert_eq!(capped.status(), MinlpStatus::Feasible);
+        assert_eq!(capped.nodes_explored(), 2);
+        assert!(capped.objective() > 8.5 + 1e-9, "{}", capped.objective());
+        assert!(capped.best_bound() <= 8.5 + 1e-9, "{}", capped.best_bound());
+        assert!(capped.gap() > 0.0);
+    }
+
+    /// With no node budget a seeded search explores nothing: the seed is a
+    /// feasible incumbent, not a proven optimum, and no bound is known.
+    #[test]
+    fn seeded_search_without_nodes_proves_nothing() {
+        let (mut p, _) = six_kernel_problem();
+        // One CU per kernel: II = 17, the slowest WCET.
+        p.set_initial_incumbent(vec![17.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+            .unwrap();
+        let sol = p
+            .solve_with(&SolverOptions {
+                max_nodes: 0,
+                ..SolverOptions::default()
+            })
+            .unwrap();
+        assert!(sol.warm_started());
+        assert_eq!(sol.status(), MinlpStatus::Feasible);
+        assert_eq!(sol.nodes_explored(), 0);
+        assert!((sol.objective() - 17.0).abs() < 1e-9);
+        assert_eq!(sol.best_bound(), f64::NEG_INFINITY);
+        assert!(sol.gap().is_infinite());
     }
 
     #[test]

@@ -85,7 +85,8 @@ impl MinlpSolution {
         self.objective
     }
 
-    /// Best proven lower bound on the optimal objective.
+    /// Best proven lower bound on the optimal objective: `−∞` when a limit
+    /// stopped the search before its root node was solved.
     pub fn best_bound(&self) -> f64 {
         self.best_bound
     }
