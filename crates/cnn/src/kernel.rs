@@ -1,7 +1,5 @@
 //! Kernel characterization data consumed by the allocation algorithms.
 
-use serde::{Deserialize, Serialize};
-
 use mfa_platform::ResourceVec;
 
 /// Per-compute-unit characterization of one pipeline kernel: exactly the
@@ -25,7 +23,7 @@ use mfa_platform::ResourceVec;
 /// assert_eq!(conv1.name(), "CONV1");
 /// assert!((conv1.wcet_ms() - 5.16).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelCharacterization {
     name: String,
     wcet_ms: f64,
@@ -87,7 +85,7 @@ impl KernelCharacterization {
 
 /// A complete multi-kernel application: a named, ordered, linear pipeline of
 /// characterized kernels (e.g. "AlexNet 16-bit" with its eight kernels).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Application {
     name: String,
     kernels: Vec<KernelCharacterization>,

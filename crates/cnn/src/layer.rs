@@ -1,9 +1,7 @@
 //! CNN layer descriptors.
 
-use serde::{Deserialize, Serialize};
-
 /// Numeric precision of a kernel implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// IEEE-754 single precision (the paper's "Alex-32").
     Float32,
@@ -42,7 +40,7 @@ impl std::fmt::Display for Precision {
 
 /// A convolutional layer (optionally with a max-pooling stage merged into it,
 /// as the paper does when that improves memory access).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvLayer {
     /// Input feature-map height (= width; square maps assumed).
     pub input_size: usize,
@@ -97,7 +95,7 @@ impl ConvLayer {
 }
 
 /// A (max- or average-) pooling layer kept as its own kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolLayer {
     /// Input feature-map height (= width).
     pub input_size: usize,
@@ -131,7 +129,7 @@ impl PoolLayer {
 }
 
 /// A local-response-normalization layer (AlexNet's LRN).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormLayer {
     /// Feature-map height (= width); LRN preserves dimensions.
     pub input_size: usize,
@@ -155,7 +153,7 @@ impl NormLayer {
 
 /// A fully connected layer. The paper excludes these from its pipelines but
 /// the descriptor is provided for completeness of the network models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FcLayer {
     /// Input features.
     pub inputs: usize,
@@ -171,7 +169,7 @@ impl FcLayer {
 }
 
 /// Any layer of a CNN.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Layer {
     /// Convolution (optionally with merged pooling).

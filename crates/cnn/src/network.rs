@@ -1,7 +1,5 @@
 //! Layer-accurate CNN network descriptions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layer::{ConvLayer, FcLayer, Layer, NormLayer, PoolLayer};
 
 /// A named CNN: an ordered list of layers.
@@ -15,7 +13,7 @@ use crate::layer::{ConvLayer, FcLayer, Layer, NormLayer, PoolLayer};
 /// assert_eq!(vgg.name(), "VGG16");
 /// assert!(vgg.num_pipeline_kernels() >= 17);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CnnNetwork {
     name: String,
     layers: Vec<(String, Layer)>,

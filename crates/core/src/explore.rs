@@ -7,8 +7,6 @@
 //! [`crate::solver::SolveRequest`] per point, so both paths produce identical
 //! series for identical inputs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::exact::ExactOptions;
 use crate::gpa::GpaOptions;
 use crate::greedy::GreedyOptions;
@@ -18,7 +16,7 @@ use crate::AllocError;
 
 /// One point of a resource-constraint sweep: the classic metrics plus the
 /// additive solve diagnostics carried by every [`SolveReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Scalar key of the budget point: the uniform fraction on the classic
     /// constraint axis, or the largest per-class fraction for a per-resource

@@ -1,7 +1,5 @@
 //! Problem formulation: kernels, platform, budgets and objective weights.
 
-use serde::{Deserialize, Serialize};
-
 use mfa_cnn::{Application, KernelCharacterization};
 use mfa_platform::{HeterogeneousPlatform, MultiFpgaPlatform, ResourceBudget, ResourceVec};
 
@@ -16,7 +14,7 @@ use crate::AllocError;
 /// device the kernel was characterized on — the first device group of a
 /// heterogeneous platform). [`AllocationProblem::kernel_resources_on`]
 /// rescales them for other device groups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     name: String,
     wcet_ms: f64,
@@ -96,7 +94,7 @@ impl From<&KernelCharacterization> for Kernel {
 
 /// The weights `α` (initiation interval) and `β` (spreading) of the goal
 /// function `g = α·II + β·ϕ` (paper Eq. 5 and Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoalWeights {
     /// Weight of the initiation interval.
     pub alpha: f64,
@@ -136,7 +134,7 @@ impl Default for GoalWeights {
 /// budget, the objective weights, and — for re-solves under churn — an
 /// optional [`ReallocationSpec`] describing the incumbent placement and the
 /// migration pricing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocationProblem {
     kernels: Vec<Kernel>,
     platform: HeterogeneousPlatform,

@@ -23,8 +23,6 @@
 //! zero and no moved-CU bound the spec is inert and every solver path is
 //! byte-identical to the static solve.
 
-use serde::{Deserialize, Serialize};
-
 use crate::problem::AllocationProblem;
 use crate::solution::Allocation;
 use crate::AllocError;
@@ -33,7 +31,7 @@ use crate::AllocError;
 ///
 /// The penalty added to the solve objective (in the II's milliseconds) is
 /// `weight × Σ_g group_cost(g) × moved_g`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationCost {
     weight: f64,
     group_costs: Option<Vec<f64>>,
@@ -114,7 +112,7 @@ impl MigrationCost {
 /// [`Incumbent::aligned_to`] re-indexes the rows against whatever kernel set
 /// the re-solve's problem carries, treating absent kernels as all-zero rows
 /// (everything they get is a move).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Incumbent {
     rows: Vec<(String, Vec<u32>)>,
     num_groups: usize,
@@ -281,7 +279,7 @@ impl Incumbent {
 
 /// A full reallocation request rider: the incumbent placement, the migration
 /// pricing, and an optional hard cap on moved CUs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReallocationSpec {
     incumbent: Incumbent,
     migration: MigrationCost,

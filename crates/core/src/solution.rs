@@ -1,7 +1,5 @@
 //! Allocation solutions and their derived metrics.
 
-use serde::{Deserialize, Serialize};
-
 use mfa_platform::ResourceVec;
 
 use crate::problem::AllocationProblem;
@@ -9,7 +7,7 @@ use crate::AllocError;
 
 /// A complete CU allocation: `n[k][f]` compute units of kernel `k` on FPGA `f`
 /// (the paper's `n_{k,f}`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     n: Vec<Vec<u32>>,
 }
@@ -245,7 +243,7 @@ impl Allocation {
 
 /// Summary metrics of an allocation (the quantities reported in the paper's
 /// figures).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllocationMetrics {
     /// Initiation interval in milliseconds.
     pub initiation_interval_ms: f64,

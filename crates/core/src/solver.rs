@@ -9,11 +9,7 @@
 //! [`SolveDiagnostics`]: relaxation gap, dropped CUs, branch-and-bound nodes,
 //! per-stage timing, and the [`WarmStartReport`] provenance of the hints.
 //!
-//! The per-backend free functions this replaces
-//! (`gpa::solve_with_warm_start`, `gp_step::solve_with_hint`,
-//! `discretize::solve_seeded`, `exact::solve`, …) are gone; the README's
-//! migration table maps each one to its request-builder equivalent. Custom
-//! engines implement [`SolverBackend`] (object safe) and run through
+//! Custom engines implement [`SolverBackend`] (object safe) and run through
 //! [`SolveRequest::solve_with`].
 //!
 //! # Example
@@ -47,7 +43,6 @@
 use std::time::{Duration, Instant};
 
 use mfa_linprog::LpError;
-use serde::{Deserialize, Serialize};
 
 use crate::exact::{self, ExactOptions};
 use crate::gp_step::RelaxationBackend;
@@ -180,7 +175,7 @@ pub(crate) fn check_deadline(deadline: Option<&Deadline>, stage: &str) -> Result
 /// start and can never change feasibility or solution quality, only how much
 /// work the search does (ties between equally-optimal designs go to the
 /// hint). [`SolveDiagnostics::warm_start`] reports which hints were taken.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WarmStart {
     /// Relaxed initiation interval of the neighbouring solve, in ms.
     pub relaxed_ii_ms: Option<f64>,
@@ -244,7 +239,7 @@ impl From<&SolveReport> for WarmStart {
 /// (length, sign, finiteness, positive slack at the seed) and silently falls
 /// back to the primal-only warm start when anything is off, so a stale dual
 /// can cost barrier iterations but never changes the optimum.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DualWarmStart {
     /// Final barrier parameter `t` of the producing solve.
     pub barrier_t: f64,
@@ -273,7 +268,7 @@ impl From<&DualWarmStart> for mfa_gp::GpDualState {
 /// Which warm-start hints a solve actually used (the *provenance* of the
 /// result): distinct from which hints were merely present in the request,
 /// since invalid hints are verified and dropped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmStartReport {
     /// The relaxed-II hint narrowed the bisection bracket or seeded the GP
     /// interior point.
@@ -330,7 +325,7 @@ impl WarmStartReport {
 /// Sweeps over constraint grids routinely cross infeasible territory; the
 /// paper's figures simply omit such points. [`SolveRequest::solve_point`]
 /// applies the request's policy; [`SolveRequest::solve`] always errors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SkipPolicy {
     /// A constraint too tight for the application
     /// ([`AllocError::Infeasible`]), a discretized configuration the

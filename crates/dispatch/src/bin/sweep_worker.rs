@@ -18,7 +18,7 @@
 //! live in [`mfa_explore::compute_unit`], so a unit computed here is
 //! byte-identical to the same unit computed on a dispatcher thread.
 
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
 
@@ -104,13 +104,13 @@ fn main() -> ExitCode {
                 match stream {
                     Ok(stream) => {
                         let _ = stream.set_nodelay(true);
-                        let reader = BufReader::new(match stream.try_clone() {
+                        let reader = match stream.try_clone() {
                             Ok(clone) => clone,
                             Err(err) => {
                                 eprintln!("sweep-worker: cannot clone connection: {err}");
                                 continue;
                             }
-                        });
+                        };
                         // One session per connection; a protocol error ends
                         // the session, not the listener.
                         if let Err(err) = serve(reader, stream, &args.faults) {

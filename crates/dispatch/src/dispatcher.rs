@@ -8,9 +8,10 @@
 //! completion order. Because a unit's result is a pure function of
 //! `(grid, unit, warm_start, seeds)` and the wire codec round-trips floats
 //! bit-for-bit, the merged output is byte-identical to
-//! [`mfa_explore::run_sweep`] with [`ExecutorOptions::serial`] (modulo the
-//! wall-clock `solve_seconds` fields) for *any* worker count, partition, or
-//! completion order.
+//! [`mfa_explore::run_sweep`] with
+//! [`ExecutorOptions::serial`](mfa_explore::ExecutorOptions::serial)
+//! (modulo the wall-clock `solve_seconds` fields) for *any* worker count,
+//! partition, or completion order.
 //!
 //! [`run_sweep_sharded_stored`] adds the persistent sweep store: fully
 //! cached units are replayed from disk without ever being leased, only the
@@ -20,7 +21,7 @@
 //! finished, exactly like the threaded executor.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -28,6 +29,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use mfa_explore::session::{write_frame, FrameError, FrameReader};
 use mfa_explore::store::{commit_unit, plan_store, ResultStore, StorePlan};
 use mfa_explore::{
     assemble_series, plan_units, StoreRunReport, SweepGrid, SweepPoint, SweepSeries, UnitOutput,
@@ -35,10 +37,6 @@ use mfa_explore::{
 
 use crate::protocol::{FromWorker, ToWorker, PROTOCOL_VERSION};
 use crate::DispatchError;
-
-// ExecutorOptions is only referenced by the docs above.
-#[allow(unused_imports)]
-use mfa_explore::ExecutorOptions;
 
 /// How to obtain one worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +75,7 @@ pub struct DispatchOptions {
     /// output contract. Zero is rejected, as in the executor.
     pub chunk_size: usize,
     /// Warm-start GP+A solves within a unit (see
-    /// [`ExecutorOptions::warm_start`]).
+    /// [`ExecutorOptions::warm_start`](mfa_explore::ExecutorOptions::warm_start)).
     pub warm_start: bool,
     /// A worker holding any lease longer than this is presumed hung: it is
     /// killed and its leases are reassigned. `None` disables the timeout.
@@ -307,13 +305,12 @@ fn run_sharded_impl(
         return Ok((assemble_series(grid, &units, completed), report));
     }
 
-    let mut job_line = ToWorker::Job {
+    let job_line = ToWorker::Job {
         protocol: PROTOCOL_VERSION,
         warm_start: options.warm_start,
         grid: grid.clone(),
     }
     .encode()?;
-    job_line.push('\n');
 
     let (tx, rx) = mpsc::channel::<(usize, Event)>();
     let mut conns: Vec<Option<Connection>> = Vec::with_capacity(workers.len());
@@ -406,10 +403,9 @@ fn run_sharded_impl(
                         .map(|p| p.units[uid].seeds.clone())
                         .unwrap_or_default(),
                 };
-                let mut line = frame.encode()?;
-                line.push('\n');
+                let line = frame.encode()?;
                 let conn = conns[wid].as_mut().expect("alive workers have connections");
-                if conn.writer.write_all(line.as_bytes()).is_err() || conn.writer.flush().is_err() {
+                if write_frame(&mut conn.writer, line).is_err() {
                     // Put the unit straight back and bury the worker.
                     attempts[uid] -= 1;
                     let pos = pending.partition_point(|&u| u < uid);
@@ -627,37 +623,27 @@ fn open_worker(
 
     // The job frame goes out before the reader thread starts, so a spawn
     // failure surfaces here rather than as a mysterious early EOF.
-    writer
-        .write_all(job_line.as_bytes())
-        .and_then(|()| writer.flush())
+    write_frame(&mut writer, job_line.to_owned())
         .map_err(|err| DispatchError::Io(format!("sending job to worker {id}: {err}")))?;
 
     thread::spawn(move || {
-        let mut lines = BufReader::new(reader).lines();
+        // Replies are read with no length limit: the dispatcher is the
+        // client here, and a result frame grows with its unit.
+        let mut frames = FrameReader::new(reader);
         loop {
-            match lines.next() {
-                Some(Ok(line)) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let event = match FromWorker::decode(&line) {
-                        Ok(frame) => Event::Frame(frame),
-                        Err(err) => Event::Corrupt(err.to_string()),
-                    };
-                    let corrupt = matches!(event, Event::Corrupt(_));
-                    if tx.send((id, event)).is_err() {
-                        return;
-                    }
-                    if corrupt {
-                        // One bad frame condemns the stream: framing after
-                        // it cannot be trusted.
-                        return;
-                    }
-                }
-                Some(Err(_)) | None => {
-                    let _ = tx.send((id, Event::Closed));
-                    return;
-                }
+            let event = match frames.read_frame(usize::MAX) {
+                Ok(Some(line)) => match FromWorker::decode(&line) {
+                    Ok(frame) => Event::Frame(frame),
+                    Err(err) => Event::Corrupt(err.to_string()),
+                },
+                Ok(None) | Err(FrameError::Io(_)) => Event::Closed,
+                Err(err) => Event::Corrupt(err.to_string()),
+            };
+            let last = !matches!(event, Event::Frame(_));
+            // One bad frame condemns the stream: framing after it cannot be
+            // trusted.
+            if tx.send((id, event)).is_err() || last {
+                return;
             }
         }
     });
@@ -677,8 +663,7 @@ fn shutdown_workers(conns: &mut [Option<Connection>], states: &mut [WorkerState]
     for (conn, state) in conns.iter_mut().zip(states.iter_mut()) {
         if let Some(conn) = conn.as_mut() {
             if state.alive {
-                let _ = conn.writer.write_all(format!("{goodbye}\n").as_bytes());
-                let _ = conn.writer.flush();
+                let _ = write_frame(&mut conn.writer, goodbye.clone());
             }
         }
         if let Some(mut conn) = conn.take() {

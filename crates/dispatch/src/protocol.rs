@@ -1,15 +1,16 @@
 //! The JSON-lines wire protocol between the dispatcher and its workers.
 //!
 //! Every frame is one compact JSON object on one `\n`-terminated line, with
-//! a `"type"` tag. The payload codecs come from [`mfa_explore::wire`], so
-//! every float crossing the boundary round-trips bit-for-bit and NaNs are
-//! rejected at the edge.
+//! a `"type"` tag; [`mfa_explore::session`] does the framing for all the
+//! workspace's JSON-lines peers. The payload codecs come from
+//! [`mfa_explore::wire`], so every float crossing the boundary round-trips
+//! bit-for-bit and NaNs are rejected at the edge.
 //!
 //! Session shape (dispatcher is always the initiator):
 //!
 //! ```text
-//! dispatcher → worker   {"type":"job","protocol":4,"warm_start":…,"grid":…}
-//! worker → dispatcher   {"type":"ready","protocol":4}
+//! dispatcher → worker   {"type":"job","protocol":5,"warm_start":…,"grid":…}
+//! worker → dispatcher   {"type":"ready","protocol":5}
 //! dispatcher → worker   {"type":"unit","id":0,"unit":{…},"seeds":[…]}  (repeated)
 //! worker → dispatcher   {"type":"result","id":0,"points":[…],
 //!                        "warms":[…],"warm_from_store":0}              (one per unit)
@@ -23,22 +24,16 @@
 
 use mfa_alloc::solver::WarmStart;
 use mfa_explore::json::Json;
-use mfa_explore::wire::{self, WireError};
+use mfa_explore::wire::{
+    self, arr_field, bool_field, field, str_field, type_tag, usize_field, WireError,
+};
 use mfa_platform::ResourceBudget;
 
 use mfa_explore::{SweepGrid, SweepPoint, WorkUnit};
 
-/// Version tag carried by `job`/`ready` frames — and by the allocation
-/// service's `hello`/`ready` frames, which share this version space so one
-/// constant governs every JSON-lines peer in the workspace. Bump on any
-/// incompatible frame or payload change. v3 added store-neighbour warm-start
-/// seeds to `unit` frames and per-point warm states to `result` frames; v4
-/// introduced the serve-session frame family (`mfa_serve::protocol` —
-/// `solve`/`report`/`rejected`) alongside the unchanged sweep frames; v5
-/// added the shared-store frame family (`mfa_storenet::protocol` —
-/// `store-hello`/`get`/`put`/`stats`/`evict`) and the serve session's
-/// `stats` frame.
-pub const PROTOCOL_VERSION: usize = 5;
+/// Version tag carried by `job`/`ready` frames, shared by every JSON-lines
+/// peer in the workspace (its history is on the definition).
+pub use mfa_explore::session::PROTOCOL_VERSION;
 
 /// A frame sent from the dispatcher to a worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,25 +136,13 @@ impl ToWorker {
         match type_tag(&doc)? {
             "job" => Ok(ToWorker::Job {
                 protocol: usize_field(&doc, "protocol")?,
-                warm_start: doc
-                    .get("warm_start")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| WireError::Schema("job frame needs 'warm_start'".into()))?,
-                grid: wire::grid_from_json(
-                    doc.get("grid")
-                        .ok_or_else(|| WireError::Schema("job frame needs 'grid'".into()))?,
-                )?,
+                warm_start: bool_field(&doc, "warm_start")?,
+                grid: wire::grid_from_json(field(&doc, "grid")?)?,
             }),
             "unit" => Ok(ToWorker::Unit {
                 id: usize_field(&doc, "id")?,
-                unit: wire::unit_from_json(
-                    doc.get("unit")
-                        .ok_or_else(|| WireError::Schema("unit frame needs 'unit'".into()))?,
-                )?,
-                seeds: seeds_from_json(
-                    doc.get("seeds")
-                        .ok_or_else(|| WireError::Schema("unit frame needs 'seeds'".into()))?,
-                )?,
+                unit: wire::unit_from_json(field(&doc, "unit")?)?,
+                seeds: seeds_from_json(arr_field(&doc, "seeds")?)?,
             }),
             "shutdown" => Ok(ToWorker::Shutdown),
             other => Err(WireError::Schema(format!(
@@ -218,23 +201,13 @@ impl FromWorker {
             }),
             "result" => Ok(FromWorker::Result {
                 id: usize_field(&doc, "id")?,
-                points: wire::points_from_json(
-                    doc.get("points")
-                        .ok_or_else(|| WireError::Schema("result frame needs 'points'".into()))?,
-                )?,
-                warms: warms_from_json(
-                    doc.get("warms")
-                        .ok_or_else(|| WireError::Schema("result frame needs 'warms'".into()))?,
-                )?,
+                points: wire::points_from_json(field(&doc, "points")?)?,
+                warms: warms_from_json(arr_field(&doc, "warms")?)?,
                 warm_from_store: usize_field(&doc, "warm_from_store")?,
             }),
             "solver_error" => Ok(FromWorker::SolverError {
                 id: usize_field(&doc, "id")?,
-                message: doc
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| WireError::Schema("solver_error frame needs 'message'".into()))?
-                    .to_owned(),
+                message: str_field(&doc, "message")?.to_owned(),
             }),
             other => Err(WireError::Schema(format!(
                 "unknown worker frame type '{other}'"
@@ -257,20 +230,12 @@ fn seeds_to_json(seeds: &[(ResourceBudget, WarmStart)]) -> Result<Json, WireErro
     ))
 }
 
-fn seeds_from_json(value: &Json) -> Result<Vec<(ResourceBudget, WarmStart)>, WireError> {
-    value
-        .as_arr()
-        .ok_or_else(|| WireError::Schema("'seeds' must be an array".into()))?
+fn seeds_from_json(items: &[Json]) -> Result<Vec<(ResourceBudget, WarmStart)>, WireError> {
+    items
         .iter()
         .map(|item| {
-            let budget = wire::budget_from_json(
-                item.get("budget")
-                    .ok_or_else(|| WireError::Schema("seed needs 'budget'".into()))?,
-            )?;
-            let warm = wire::warm_hint_from_json(
-                item.get("warm")
-                    .ok_or_else(|| WireError::Schema("seed needs 'warm'".into()))?,
-            )?;
+            let budget = wire::budget_from_json(field(item, "budget")?)?;
+            let warm = wire::warm_hint_from_json(field(item, "warm")?)?;
             Ok((budget, warm))
         })
         .collect()
@@ -288,28 +253,14 @@ fn warms_to_json(warms: &[Option<WarmStart>]) -> Result<Json, WireError> {
     ))
 }
 
-fn warms_from_json(value: &Json) -> Result<Vec<Option<WarmStart>>, WireError> {
-    value
-        .as_arr()
-        .ok_or_else(|| WireError::Schema("'warms' must be an array".into()))?
+fn warms_from_json(items: &[Json]) -> Result<Vec<Option<WarmStart>>, WireError> {
+    items
         .iter()
         .map(|item| match item {
             Json::Null => Ok(None),
             other => wire::warm_hint_from_json(other).map(Some),
         })
         .collect()
-}
-
-fn type_tag(doc: &Json) -> Result<&str, WireError> {
-    doc.get("type")
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::Schema("frame needs a string 'type' tag".into()))
-}
-
-fn usize_field(doc: &Json, key: &str) -> Result<usize, WireError> {
-    doc.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be an integer")))
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! The worker side of the dispatcher protocol.
 //!
-//! [`serve`] runs one protocol session over any line-oriented byte stream —
-//! the `sweep-worker` binary points it at stdio or an accepted TCP
-//! connection. The loop is strictly sequential: it decodes a frame, acts,
-//! replies, repeats. All sweep semantics live in
-//! [`mfa_explore::compute_unit_hinted`]; a unit computes here exactly as it
-//! would on a thread of `run_sweep`, which is what keeps sharding
-//! semantics-preserving. Store-neighbour seeds ride the unit frame, so a
+//! [`serve`] runs one protocol session over any byte stream — the
+//! `sweep-worker` binary points it at stdio or an accepted TCP connection —
+//! reading and writing frames through [`mfa_explore::session`]. The loop is
+//! strictly sequential: it decodes a frame, acts, replies, repeats. All
+//! sweep semantics live in [`mfa_explore::compute_unit_hinted`]; a unit
+//! computes here exactly as it would on a thread of `run_sweep`, which is
+//! what keeps sharding semantics-preserving. Store-neighbour seeds ride the unit frame, so a
 //! store-backed dispatcher hands every worker the same hints the threaded
 //! executor would use.
 //!
@@ -16,8 +16,9 @@
 //! the dispatcher's lease-reassignment paths are exercised deterministically
 //! instead of by racing a `kill` against the sweep.
 
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
 
+use mfa_explore::session::{write_frame, FrameError, FrameReader, MAX_FRAME_BYTES};
 use mfa_explore::{compute_unit_hinted, ExploreError, SweepGrid, DEFAULT_CACHE_CAPACITY};
 
 use crate::protocol::{FromWorker, ToWorker, PROTOCOL_VERSION};
@@ -50,22 +51,25 @@ pub const INJECTED_CRASH_EXIT_CODE: i32 = 41;
 /// # Errors
 ///
 /// Returns [`DispatchError::Protocol`] when the peer violates the protocol
-/// (first frame not `job`, malformed frame, unit out of range) and
-/// [`DispatchError::Io`] on transport errors. Solver failures are *not*
+/// (first frame not `job`, malformed or over-long frame, unit out of range)
+/// and [`DispatchError::Io`] on transport errors. Solver failures are *not*
 /// errors here — they are reported to the dispatcher as `solver_error`
 /// frames, because they are deterministic facts about the grid.
 pub fn serve(
-    reader: impl BufRead,
+    reader: impl Read,
     mut writer: impl Write,
     faults: &FaultPlan,
 ) -> Result<usize, DispatchError> {
+    let mut frames = FrameReader::new(reader);
     let mut session: Option<(SweepGrid, bool)> = None;
     let mut results_sent = 0usize;
-    for line in reader.lines() {
-        let line = line.map_err(|err| DispatchError::Io(err.to_string()))?;
-        if line.trim().is_empty() {
-            continue;
-        }
+    while let Some(line) = frames
+        .read_frame(MAX_FRAME_BYTES)
+        .map_err(|err| match err {
+            FrameError::Io(err) => DispatchError::Io(err.to_string()),
+            err => DispatchError::Protocol(format!("bad dispatcher frame: {err}")),
+        })?
+    {
         let frame = ToWorker::decode(&line)
             .map_err(|err| DispatchError::Protocol(format!("bad dispatcher frame: {err}")))?;
         match frame {
@@ -152,14 +156,10 @@ pub fn serve(
 }
 
 fn send(writer: &mut impl Write, frame: &FromWorker) -> Result<(), DispatchError> {
-    let mut line = frame
+    let line = frame
         .encode()
         .map_err(|err| DispatchError::Protocol(format!("unencodable worker frame: {err}")))?;
-    line.push('\n');
-    writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.flush())
-        .map_err(|err| DispatchError::Io(err.to_string()))
+    write_frame(writer, line).map_err(|err| DispatchError::Io(err.to_string()))
 }
 
 #[cfg(test)]

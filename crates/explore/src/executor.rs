@@ -5,8 +5,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
 
-use serde::{Deserialize, Serialize};
-
 use mfa_alloc::explore::SweepPoint;
 use mfa_alloc::solver::{Deadline, SolveRequest, WarmStart};
 
@@ -68,7 +66,7 @@ impl ExecutorOptions {
 /// combination and its points in budget-axis order. Points whose budget is
 /// infeasible or unplaceable are absent, exactly as in
 /// [`mfa_alloc::explore::sweep_gpa`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSeries {
     /// Label of the swept case.
     pub case: String,
@@ -92,7 +90,7 @@ pub struct SweepSeries {
 /// each unit is solved with its own fresh [`WarmStartCache`]; a unit's result
 /// is therefore a pure function of `(grid, unit, warm_start)`, which is what
 /// makes distributing units across processes semantics-preserving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkUnit {
     /// Series index in grid order (see [`SweepGrid::num_series`]).
     pub series: usize,

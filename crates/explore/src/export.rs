@@ -1,17 +1,15 @@
 //! JSON and CSV export of swept series.
 //!
-//! The series types carry serde derives so that swapping the vendored
-//! offline serde stub for the real crates makes them `serde_json`-ready
-//! unchanged; the writers here are small hand-rolled serializers because the
-//! stub intentionally provides no runtime (de)serialization. Both formats
-//! are plain text aimed at plotting scripts (matplotlib, gnuplot,
-//! spreadsheets).
+//! Both formats are plain text aimed at plotting scripts (matplotlib,
+//! gnuplot, spreadsheets). The JSON layout — one point per line — is laid
+//! out here; every string and number in it is written by [`Json`]'s writer.
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
 use crate::executor::SweepSeries;
+use crate::json::Json;
 
 /// Serializes series as a JSON array, one object per series with its points
 /// inline. Each series carries its platform label; each point carries its
@@ -25,10 +23,10 @@ pub fn series_to_json(series: &[SweepSeries]) -> String {
         out.push_str("  {");
         out.push_str(&format!(
             "\"case\": {}, \"platform\": {}, \"num_fpgas\": {}, \"backend\": {}, \"points\": [",
-            json_string(&s.case),
-            json_string(&s.platform),
+            Json::str(&s.case),
+            Json::str(&s.platform),
             s.num_fpgas,
-            json_string(&s.backend)
+            Json::str(&s.backend)
         ));
         for (j, p) in s.points.iter().enumerate() {
             let fraction = p.budget.resource_fraction();
@@ -42,25 +40,25 @@ pub fn series_to_json(series: &[SweepSeries]) -> String {
                  \"warm_start\": {}, \"barrier_iterations\": {}, \
                  \"factorizations\": {}, \"simplex_pivots\": {}, \
                  \"moved_cus\": {}, \"migration_cost\": {}}}",
-                json_f64(p.resource_constraint),
-                json_f64(fraction.lut),
-                json_f64(fraction.ff),
-                json_f64(fraction.bram),
-                json_f64(fraction.dsp),
-                json_f64(p.budget.bandwidth_fraction()),
-                json_f64(p.initiation_interval_ms),
-                json_f64(p.average_utilization),
-                json_f64(p.spreading),
-                json_f64(p.solve_seconds),
-                json_f64(p.relaxation_gap),
+                Json::Num(p.resource_constraint),
+                Json::Num(fraction.lut),
+                Json::Num(fraction.ff),
+                Json::Num(fraction.bram),
+                Json::Num(fraction.dsp),
+                Json::Num(p.budget.bandwidth_fraction()),
+                Json::Num(p.initiation_interval_ms),
+                Json::Num(p.average_utilization),
+                Json::Num(p.spreading),
+                Json::Num(p.solve_seconds),
+                Json::Num(p.relaxation_gap),
                 p.bb_nodes,
                 p.dropped_cus,
-                json_string(p.warm_start.provenance()),
+                Json::str(p.warm_start.provenance()),
                 p.barrier_iterations,
                 p.factorizations,
                 p.simplex_pivots,
                 p.moved_cus,
-                json_f64(p.migration_cost)
+                Json::Num(p.migration_cost)
             ));
             if j + 1 < s.points.len() {
                 out.push(',');
@@ -149,34 +147,6 @@ pub fn write_json(path: impl AsRef<Path>, series: &[SweepSeries]) -> io::Result<
 /// Propagates I/O errors.
 pub fn write_csv(path: impl AsRef<Path>, series: &[SweepSeries]) -> io::Result<()> {
     fs::write(path, series_to_csv(series))
-}
-
-/// JSON string literal with the escapes required by RFC 8259.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number; non-finite values become `null`.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 /// CSV field, quoted (with doubled inner quotes) only when necessary.
@@ -317,9 +287,13 @@ mod tests {
 
     #[test]
     fn non_finite_floats_become_null_in_json() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.25), "1.25");
+        let mut series = sample();
+        series[0].points[0].initiation_interval_ms = f64::NAN;
+        series[0].points[0].solve_seconds = f64::INFINITY;
+        let json = series_to_json(&series);
+        assert!(json.contains("\"initiation_interval_ms\": null"));
+        assert!(json.contains("\"solve_seconds\": null"));
+        assert!(json.contains("\"initiation_interval_ms\": 1.06"));
     }
 
     #[test]

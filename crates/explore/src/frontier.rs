@@ -19,7 +19,8 @@ use mfa_alloc::AllocationProblem;
 use mfa_sim::{replay_churn, ChurnConfig, ChurnEvent, SimConfig};
 
 use crate::error::ExploreError;
-use crate::export::{csv_field, json_f64, json_string};
+use crate::export::csv_field;
+use crate::json::Json;
 
 /// Declarative spec of a reallocation-frontier sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,14 +169,14 @@ pub fn frontier_to_json(points: &[FrontierPoint]) -> String {
             "  {{\"backend\": {}, \"migration_weight\": {}, \"event_index\": {}, \
              \"event\": {}, \"steady_ii_ms\": {}, \"transition_ii_ms\": {}, \
              \"moved_cus\": {}, \"migration_cost\": {}}}",
-            json_string(&p.backend),
-            json_f64(p.weight),
+            Json::str(&p.backend),
+            Json::Num(p.weight),
             p.event_index,
-            json_string(&p.event),
-            json_f64(p.steady_ii_ms),
-            json_f64(p.transition_ii_ms),
+            Json::str(&p.event),
+            Json::Num(p.steady_ii_ms),
+            Json::Num(p.transition_ii_ms),
             p.moved_cus,
-            json_f64(p.migration_cost)
+            Json::Num(p.migration_cost)
         ));
         if i + 1 < points.len() {
             out.push(',');

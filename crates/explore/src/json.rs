@@ -1,9 +1,8 @@
 //! A minimal JSON document model with a parser and a compact writer.
 //!
-//! The vendored serde stub intentionally provides no runtime
-//! (de)serialization (see `vendor/serde`), so the wire format of the
-//! multi-process sweep dispatcher is built on this hand-rolled module
-//! instead. It implements exactly what the transport needs:
+//! The workspace has no serde: the sweep exports, the store's entry lines
+//! and the frames of the three JSON-lines daemons are all written and read
+//! by this hand-rolled module. It implements exactly what they need:
 //!
 //! * [`Json`] — an ordered document tree (object keys keep insertion order,
 //!   so encoding is deterministic).
@@ -16,8 +15,8 @@
 //! so `parse(write(x))` reproduces every finite float bit-for-bit — the
 //! property the byte-identical sharded-sweep guarantee rests on. Non-finite
 //! numbers are unrepresentable in JSON; the writer maps them to `null`
-//! (matching [`crate::export`]) and the wire codec rejects them before they
-//! ever reach a document.
+//! (which is what [`crate::export`] prints for them) and the wire codec
+//! rejects them before they ever reach a document.
 
 use std::fmt;
 
@@ -148,7 +147,7 @@ impl Json {
 
     /// Writes the value as compact single-line JSON (no raw newlines, so one
     /// document fits one JSON-lines frame). Non-finite numbers become
-    /// `null`, as in [`crate::export`]; the wire codec never produces them.
+    /// `null`; the wire codec never produces them.
     pub fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),

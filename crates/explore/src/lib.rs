@@ -29,6 +29,9 @@
 //! * [`export`] — JSON and CSV serialization of swept series for plotting.
 //! * [`validate`] — cross-checks a sample of swept designs against the
 //!   [`mfa_sim`] discrete-event simulator.
+//! * [`session`] — the JSON-lines framing, frame and session limits and
+//!   threaded accept loop shared by the workspace's daemons, with the
+//!   protocol version every handshake carries.
 //!
 //! The single-threaded sweep functions in [`mfa_alloc::explore`] remain the
 //! stable minimal API; both they and this engine drive one
@@ -71,6 +74,7 @@ pub mod figures;
 pub mod frontier;
 mod grid;
 pub mod json;
+pub mod session;
 pub mod store;
 pub mod validate;
 pub mod wire;

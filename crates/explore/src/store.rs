@@ -532,39 +532,23 @@ fn decode_entry(line: &str) -> Result<Option<(Fingerprint, StoreEntry)>, WireErr
 ///
 /// Returns [`WireError`] when the document does not match the entry schema.
 pub fn entry_from_json(doc: &Json) -> Result<Option<(Fingerprint, StoreEntry)>, WireError> {
-    let version = doc
-        .get("v")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| WireError::Schema("missing store version".into()))?;
-    if version != STORE_VERSION {
+    if wire::usize_field(doc, "v")? != STORE_VERSION {
         return Ok(None);
     }
     let parse_fp = |key: &str| -> Result<Fingerprint, WireError> {
-        doc.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| WireError::Schema(format!("field '{key}' must be a string")))?
+        wire::str_field(doc, key)?
             .parse()
             .map_err(|_| WireError::Invalid(format!("field '{key}' is not a fingerprint")))
     };
     let fp = parse_fp("fp")?;
     let series = parse_fp("series")?;
-    let budget = wire::budget_from_json(
-        doc.get("budget")
-            .ok_or_else(|| WireError::Schema("missing field 'budget'".into()))?,
-    )?;
-    let point = match doc
-        .get("point")
-        .ok_or_else(|| WireError::Schema("missing field 'point'".into()))?
-    {
-        Json::Null => None,
-        other => Some(wire::point_from_json(other)?),
-    };
-    let warm = match doc
-        .get("warm")
-        .ok_or_else(|| WireError::Schema("missing field 'warm'".into()))?
-    {
-        Json::Null => WarmStart::none(),
-        other => wire::warm_hint_from_json(other)?,
+    let budget = wire::budget_from_json(wire::field(doc, "budget")?)?;
+    let point = wire::nullable_field(doc, "point", Some)?
+        .map(wire::point_from_json)
+        .transpose()?;
+    let warm = match wire::nullable_field(doc, "warm", Some)? {
+        Some(warm) => wire::warm_hint_from_json(warm)?,
+        None => WarmStart::none(),
     };
     Ok(Some((
         fp,

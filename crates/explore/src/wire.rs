@@ -1,4 +1,5 @@
-//! Wire codec for the multi-process sweep dispatcher.
+//! Wire codec of the workspace's JSON-lines frames, with the field helpers
+//! every frame codec decodes through.
 //!
 //! Encodes every type that crosses a process boundary — the full
 //! [`SweepGrid`] (cases, platforms, budgets, solver backends), [`WorkUnit`]s
@@ -16,10 +17,10 @@
 //!   encoder rejects them with [`WireError::NonFinite`] rather than silently
 //!   degrading, and the decoder can therefore trust every number it accepts.
 //!
-//! The string-level entry points ([`encode_grid`]/[`decode_grid`] and
-//! friends) are what the dispatcher protocol embeds into its JSON-lines
-//! frames; the `*_to_json`/`*_from_json` pairs are exposed for composing
-//! larger documents.
+//! The `*_to_json`/`*_from_json` pairs are what the frame codecs compose
+//! into their documents; the string-level entry points
+//! ([`encode_grid`]/[`decode_grid`] and friends) code one value as a whole
+//! document.
 
 use std::fmt;
 
@@ -73,51 +74,103 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------------
-// Decode helpers.
+// Field helpers, shared by every frame codec in the workspace. Each fails
+// with [`WireError::Schema`] when the field is missing or of the wrong type.
 
-fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, WireError> {
+/// The field `key` of an object.
+pub fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, WireError> {
     value
         .get(key)
         .ok_or_else(|| WireError::Schema(format!("missing field '{key}'")))
 }
 
-fn f64_field(value: &Json, key: &str) -> Result<f64, WireError> {
+/// A frame's string `"type"` tag.
+pub fn type_tag(frame: &Json) -> Result<&str, WireError> {
+    str_field(frame, "type")
+}
+
+/// The number field `key`.
+pub fn f64_field(value: &Json, key: &str) -> Result<f64, WireError> {
     field(value, key)?
         .as_f64()
         .ok_or_else(|| WireError::Schema(format!("field '{key}' must be a number")))
 }
 
-fn usize_field(value: &Json, key: &str) -> Result<usize, WireError> {
+/// The nonnegative integer field `key`.
+pub fn usize_field(value: &Json, key: &str) -> Result<usize, WireError> {
     field(value, key)?
         .as_usize()
         .ok_or_else(|| WireError::Schema(format!("field '{key}' must be a nonnegative integer")))
 }
 
-fn str_field<'a>(value: &'a Json, key: &str) -> Result<&'a str, WireError> {
+/// The string field `key`.
+pub fn str_field<'a>(value: &'a Json, key: &str) -> Result<&'a str, WireError> {
     field(value, key)?
         .as_str()
         .ok_or_else(|| WireError::Schema(format!("field '{key}' must be a string")))
 }
 
-fn bool_field(value: &Json, key: &str) -> Result<bool, WireError> {
+/// The boolean field `key`.
+pub fn bool_field(value: &Json, key: &str) -> Result<bool, WireError> {
     field(value, key)?
         .as_bool()
         .ok_or_else(|| WireError::Schema(format!("field '{key}' must be a boolean")))
 }
 
-fn arr_field<'a>(value: &'a Json, key: &str) -> Result<&'a [Json], WireError> {
+/// The array field `key`.
+pub fn arr_field<'a>(value: &'a Json, key: &str) -> Result<&'a [Json], WireError> {
     field(value, key)?
         .as_arr()
         .ok_or_else(|| WireError::Schema(format!("field '{key}' must be an array")))
 }
 
-/// Encode-side guard: every float put on the wire must be finite.
-fn num(name: &'static str, value: f64) -> Result<Json, WireError> {
+/// The field `key` read by `as_type` (e.g. [`Json::as_f64`]), with `null`
+/// read as `None`.
+pub fn nullable_field<'a, T>(
+    value: &'a Json,
+    key: &str,
+    as_type: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, WireError> {
+    match field(value, key)? {
+        Json::Null => Ok(None),
+        other => as_type(other)
+            .map(Some)
+            .ok_or_else(|| WireError::Schema(format!("field '{key}' has the wrong type"))),
+    }
+}
+
+/// Encode-side guard: every float put on the wire must be finite; `name`
+/// labels the [`WireError::NonFinite`] otherwise.
+pub fn num(name: &'static str, value: f64) -> Result<Json, WireError> {
     if value.is_finite() {
         Ok(Json::Num(value))
     } else {
         Err(WireError::NonFinite(name))
     }
+}
+
+/// Encodes per-kernel CU counts as a number array.
+pub fn cu_counts_to_json(counts: &[u32]) -> Json {
+    Json::Arr(counts.iter().map(|&n| Json::Num(f64::from(n))).collect())
+}
+
+/// Decodes a [`cu_counts_to_json`] array; an entry that is not a `u32` is
+/// [`WireError::Invalid`].
+pub fn cu_counts_from_json(items: &[Json]) -> Result<Vec<u32>, WireError> {
+    items
+        .iter()
+        .map(|item| {
+            let raw = item
+                .as_f64()
+                .ok_or_else(|| WireError::Schema("cu_counts entries must be numbers".into()))?;
+            if raw < 0.0 || raw.fract() != 0.0 || raw > f64::from(u32::MAX) {
+                return Err(WireError::Invalid(format!(
+                    "cu_counts entry {raw} is not a u32"
+                )));
+            }
+            Ok(raw as u32)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -559,12 +612,7 @@ fn exact_options_from_json(value: &Json) -> Result<ExactOptions, WireError> {
         other => return Err(WireError::Schema(format!("unknown exact mode '{other}'"))),
     };
     let solver = field(value, "solver")?;
-    let time_limit_seconds = match field(solver, "time_limit_seconds")? {
-        Json::Null => None,
-        other => Some(other.as_f64().ok_or_else(|| {
-            WireError::Schema("field 'time_limit_seconds' must be a number or null".into())
-        })?),
-    };
+    let time_limit_seconds = nullable_field(solver, "time_limit_seconds", Json::as_f64)?;
     Ok(ExactOptions {
         mode,
         solver: SolverOptions {
@@ -643,10 +691,7 @@ pub fn warm_hint_to_json(w: &WarmStart) -> Result<Json, WireError> {
         Some(v) => num("relaxed_ii_ms", v)?,
         None => Json::Null,
     };
-    let counts = match &w.cu_counts {
-        Some(c) => Json::Arr(c.iter().map(|&n| Json::Num(f64::from(n))).collect()),
-        None => Json::Null,
-    };
+    let counts = w.cu_counts.as_deref().map_or(Json::Null, cu_counts_to_json);
     let dual = match &w.gp_dual {
         Some(d) => Json::obj(vec![
             ("barrier_t", num("barrier_t", d.barrier_t)?),
@@ -676,36 +721,10 @@ pub fn warm_hint_to_json(w: &WarmStart) -> Result<Json, WireError> {
 /// Returns [`WireError::Schema`] on shape mismatches and
 /// [`WireError::Invalid`] on out-of-range CU counts.
 pub fn warm_hint_from_json(value: &Json) -> Result<WarmStart, WireError> {
-    let relaxed_ii_ms = match field(value, "relaxed_ii_ms")? {
-        Json::Null => None,
-        other => Some(other.as_f64().ok_or_else(|| {
-            WireError::Schema("field 'relaxed_ii_ms' must be a number or null".into())
-        })?),
-    };
-    let cu_counts = match field(value, "cu_counts")? {
-        Json::Null => None,
-        Json::Arr(items) => Some(
-            items
-                .iter()
-                .map(|item| {
-                    let raw = item.as_f64().ok_or_else(|| {
-                        WireError::Schema("cu_counts entries must be numbers".into())
-                    })?;
-                    if raw < 0.0 || raw.fract() != 0.0 || raw > f64::from(u32::MAX) {
-                        return Err(WireError::Invalid(format!(
-                            "cu_counts entry {raw} is not a u32"
-                        )));
-                    }
-                    Ok(raw as u32)
-                })
-                .collect::<Result<Vec<_>, WireError>>()?,
-        ),
-        _ => {
-            return Err(WireError::Schema(
-                "field 'cu_counts' must be an array or null".into(),
-            ))
-        }
-    };
+    let relaxed_ii_ms = nullable_field(value, "relaxed_ii_ms", Json::as_f64)?;
+    let cu_counts = nullable_field(value, "cu_counts", Json::as_arr)?
+        .map(cu_counts_from_json)
+        .transpose()?;
     let gp_dual = match field(value, "gp_dual")? {
         Json::Null => None,
         dual => Some(DualWarmStart {

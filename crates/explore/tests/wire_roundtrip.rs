@@ -1,4 +1,4 @@
-//! Serde-style round-trip property tests for every wire type.
+//! Round-trip property tests for every wire type.
 //!
 //! The wire codec is the transport contract of the multi-process
 //! dispatcher: `decode(encode(x)) == x` must hold *exactly* — floats

@@ -21,14 +21,6 @@ pub enum LpError {
         /// Upper bound.
         upper: f64,
     },
-    /// The simplex iteration limit was exceeded (numerical trouble).
-    ///
-    /// Legacy variant kept for matching compatibility; the solver now reports
-    /// pivot exhaustion as [`LpError::PivotBudgetExceeded`].
-    IterationLimit {
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-    },
     /// The configured pivot budget was exhausted before the solve finished
     /// (see [`SimplexOptions::max_pivots`](crate::SimplexOptions::max_pivots)).
     ///
@@ -52,12 +44,6 @@ impl fmt::Display for LpError {
                 f,
                 "invalid bounds for variable {name}: lower {lower} exceeds upper {upper}"
             ),
-            LpError::IterationLimit { iterations } => {
-                write!(
-                    f,
-                    "simplex iteration limit exceeded after {iterations} pivots"
-                )
-            }
             LpError::PivotBudgetExceeded { pivots } => {
                 write!(f, "simplex pivot budget exhausted after {pivots} pivots")
             }
@@ -79,8 +65,6 @@ mod tests {
             upper: 1.0,
         };
         assert!(err.to_string().contains("x1"));
-        let err = LpError::IterationLimit { iterations: 10 };
-        assert!(err.to_string().contains("10"));
         let err = LpError::PivotBudgetExceeded { pivots: 128 };
         assert!(err.to_string().contains("128"));
     }

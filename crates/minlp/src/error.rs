@@ -62,7 +62,7 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let err = MinlpError::from(LpError::IterationLimit { iterations: 3 });
+        let err = MinlpError::from(LpError::PivotBudgetExceeded { pivots: 3 });
         assert!(err.to_string().contains("lp solver failure"));
         assert!(Error::source(&err).is_some());
         assert!(Error::source(&MinlpError::UnknownVariable(1)).is_none());

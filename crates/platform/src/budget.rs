@@ -1,7 +1,5 @@
 //! Per-FPGA resource and bandwidth budgets.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ResourceVec;
 
 /// The per-FPGA constraint applied during allocation: a fraction of each
@@ -21,7 +19,7 @@ use crate::ResourceVec;
 /// assert!((budget.resource_fraction().bram - 0.61).abs() < 1e-12);
 /// assert!((budget.bandwidth_fraction() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceBudget {
     resource_fraction: ResourceVec,
     bandwidth_fraction: f64,

@@ -1,7 +1,5 @@
 //! Single-FPGA device model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ResourceVec;
 
 /// One FPGA device: absolute resource capacities plus the DRAM bandwidth of
@@ -16,7 +14,7 @@ use crate::ResourceVec;
 /// assert!(device.capacity().dsp > 6000.0);
 /// assert!(device.dram_bandwidth_gbps() > 50.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaDevice {
     name: String,
     capacity: ResourceVec,

@@ -1,8 +1,6 @@
 //! Multi-FPGA platform models: `F` identical FPGAs ([`MultiFpgaPlatform`])
 //! and mixed-generation fleets of device groups ([`HeterogeneousPlatform`]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{FpgaDevice, ResourceVec};
 
 /// A host-orchestrated platform of `F` identical FPGA devices, as in the AWS
@@ -19,7 +17,7 @@ use crate::{FpgaDevice, ResourceVec};
 /// let pair = f1.with_num_fpgas(2);
 /// assert_eq!(pair.num_fpgas(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiFpgaPlatform {
     name: String,
     device: FpgaDevice,
@@ -110,7 +108,7 @@ impl Default for MultiFpgaPlatform {
 ///
 /// Both default to `1.0`, in which case every consumer is bit-identical to
 /// the unscaled model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceGroup {
     device: FpgaDevice,
     count: usize,
@@ -222,7 +220,7 @@ impl DeviceGroup {
 /// assert_eq!(fleet.num_groups(), 2);
 /// assert_eq!(fleet.group_of_fpga(5), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeterogeneousPlatform {
     name: String,
     groups: Vec<DeviceGroup>,

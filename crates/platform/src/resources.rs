@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A vector over the four FPGA resource classes the allocator tracks.
 ///
 /// The same type is used for absolute capacities (e.g. "6 840 DSP slices"),
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((b.dsp - 0.60).abs() < 1e-12);
 /// assert!(b.fits_within(&ResourceVec::uniform(0.75), 1e-9));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceVec {
     /// Look-up tables.
     pub lut: f64,

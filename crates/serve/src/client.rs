@@ -1,9 +1,9 @@
 //! A blocking client of the allocation daemon.
 
-use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use mfa_alloc::AllocationProblem;
+use mfa_explore::session::{write_frame, FrameReader};
 
 use crate::error::ServeError;
 use crate::protocol::{
@@ -35,7 +35,7 @@ pub enum SolveReply {
 /// is in flight at a time; [`solve`](Self::solve) blocks until the daemon
 /// replies.
 pub struct ServeClient {
-    reader: BufReader<TcpStream>,
+    reader: FrameReader<TcpStream>,
     writer: TcpStream,
     next_id: usize,
 }
@@ -53,7 +53,7 @@ impl ServeClient {
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let mut client = ServeClient {
-            reader: BufReader::new(stream),
+            reader: FrameReader::new(stream),
             writer,
             next_id: 0,
         };
@@ -144,20 +144,19 @@ impl ServeClient {
     }
 
     fn send(&mut self, frame: &ToServe) -> Result<(), ServeError> {
-        let line = frame.encode()?;
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        Ok(())
+        Ok(write_frame(&mut self.writer, frame.encode()?)?)
     }
 
     fn read_frame(&mut self) -> Result<FromServe, ServeError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(ServeError::Protocol(
+        match self
+            .reader
+            .read_frame(usize::MAX)
+            .map_err(std::io::Error::other)?
+        {
+            Some(line) => Ok(FromServe::decode(&line)?),
+            None => Err(ServeError::Protocol(
                 "daemon closed the connection mid-session".into(),
-            ));
+            )),
         }
-        Ok(FromServe::decode(line.trim_end())?)
     }
 }

@@ -2,12 +2,12 @@
 //! [`SolveRequest`](mfa_alloc::solver::SolveRequest)s over the workspace's
 //! JSON-lines wire protocol.
 //!
-//! The sweep stack ([`mfa_explore`], [`mfa_dispatch`]) answers the batch
-//! question — "map the whole design space, once". This crate answers the
-//! online one: allocation requests arrive continuously (tenants sizing
-//! deployments, a reallocation controller reacting to churn), each with its
-//! own problem, backend choice, and latency budget. Three serving-layer
-//! mechanisms turn the one-shot solvers into a service:
+//! The sweep stack ([`mfa_explore`] and `mfa_dispatch`'s sharded dispatcher)
+//! answers the batch question — "map the whole design space, once". This
+//! crate answers the online one: allocation requests arrive continuously
+//! (tenants sizing deployments, a reallocation controller reacting to
+//! churn), each with its own problem, backend choice, and latency budget.
+//! Three serving-layer mechanisms turn the one-shot solvers into a service:
 //!
 //! * **Fingerprint-keyed warm starts across requests** ([`ServeCache`]) —
 //!   the per-sweep [`WarmStartCache`](mfa_explore::WarmStartCache) is
@@ -31,11 +31,12 @@
 //!   ([`SolveDiagnostics::degraded_from`](mfa_alloc::solver::SolveDiagnostics::degraded_from)),
 //!   so a degraded answer is auditable, never silent.
 //! * **Bounded reads and live stats** — a per-request read timeout reclaims
-//!   reader threads from stalled clients, and a `stats` frame reports the
-//!   serving counters plus the warm cache's hit rate on demand.
+//!   reader threads from stalled clients, frames and live sessions are
+//!   capped by [`mfa_explore::session`]'s limits, and a `stats` frame
+//!   reports the serving counters plus the warm cache's hit rate on demand.
 //!
 //! The frame protocol ([`protocol`]) shares its version constant with the
-//! sweep dispatcher ([`mfa_dispatch::protocol::PROTOCOL_VERSION`]); the
+//! sweep dispatcher and the store-server ([`PROTOCOL_VERSION`]); the
 //! `serve` binary hosts the daemon, `serve-client` is a one-shot CLI, and
 //! the root package's `serve_load` example drives an open-loop load test
 //! against either.

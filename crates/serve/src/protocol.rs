@@ -2,12 +2,12 @@
 //! `serve` daemon.
 //!
 //! Every frame is one compact JSON object on one `\n`-terminated line with a
-//! `"type"` tag, exactly like the sweep dispatcher's frames
-//! ([`mfa_dispatch::protocol`]); the two frame families share one version
-//! constant ([`PROTOCOL_VERSION`]) so any incompatible change to either is a
-//! single bump visible to every JSON-lines peer in the workspace. Payload
-//! codecs come from [`mfa_explore::wire`], so floats round-trip bit-for-bit
-//! and NaNs are rejected at the edge.
+//! `"type"` tag, framed by [`mfa_explore::session`] like the sweep
+//! dispatcher's and the store-server's frames; the frame families share one
+//! version constant ([`PROTOCOL_VERSION`]) so any incompatible change to any
+//! of them is a single bump visible to every JSON-lines peer in the
+//! workspace. Payload codecs come from [`mfa_explore::wire`], so floats
+//! round-trip bit-for-bit and NaNs are rejected at the edge.
 //!
 //! Session shape (the client is always the initiator):
 //!
@@ -32,7 +32,10 @@
 
 use mfa_alloc::AllocationProblem;
 use mfa_explore::json::Json;
-use mfa_explore::wire::{self, WireError};
+use mfa_explore::wire::{
+    self, arr_field, bool_field, cu_counts_from_json, cu_counts_to_json, f64_field, field,
+    nullable_field, num, str_field, type_tag, usize_field, WireError,
+};
 
 /// Solver backend selection carried by `solve` frames: the four entries of
 /// the built-in [`Backend`](mfa_alloc::Backend) registry, each with its
@@ -247,67 +250,19 @@ pub enum FromServe {
 }
 
 /// Protocol version of the serve session frames — shared with the sweep
-/// dispatcher (see [`mfa_dispatch::protocol::PROTOCOL_VERSION`], which
-/// documents the version history).
-pub use mfa_dispatch::protocol::PROTOCOL_VERSION;
-
-fn num(name: &'static str, value: f64) -> Result<Json, WireError> {
-    if value.is_finite() {
-        Ok(Json::Num(value))
-    } else {
-        Err(WireError::NonFinite(name))
-    }
-}
-
-fn type_tag(doc: &Json) -> Result<&str, WireError> {
-    doc.get("type")
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::Schema("frame needs a string 'type' tag".into()))
-}
-
-fn usize_field(doc: &Json, key: &str) -> Result<usize, WireError> {
-    doc.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be an integer")))
-}
-
-fn f64_field(doc: &Json, key: &str) -> Result<f64, WireError> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be a number")))
-}
-
-fn str_field<'a>(doc: &'a Json, key: &str) -> Result<&'a str, WireError> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be a string")))
-}
-
-fn bool_field(doc: &Json, key: &str) -> Result<bool, WireError> {
-    doc.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be a boolean")))
-}
+/// dispatcher and the store-server (its history is on the definition).
+pub use mfa_explore::session::PROTOCOL_VERSION;
 
 fn outcome_to_json(outcome: &SolveOutcome) -> Result<Json, WireError> {
-    let degraded_from = match &outcome.degraded_from {
-        Some(label) => Json::str(label.as_str()),
-        None => Json::Null,
-    };
+    let degraded_from = outcome
+        .degraded_from
+        .as_deref()
+        .map_or(Json::Null, Json::str);
     Ok(Json::obj(vec![
         ("ii_ms", num("ii_ms", outcome.ii_ms)?),
         ("backend", Json::str(outcome.backend.as_str())),
         ("degraded_from", degraded_from),
-        (
-            "cu_counts",
-            Json::Arr(
-                outcome
-                    .cu_counts
-                    .iter()
-                    .map(|&n| Json::Num(f64::from(n)))
-                    .collect(),
-            ),
-        ),
+        ("cu_counts", cu_counts_to_json(&outcome.cu_counts)),
         ("warm_start", Json::str(outcome.warm_start.as_str())),
         ("cache_hit", Json::Bool(outcome.cache_hit)),
         ("fingerprint", Json::str(outcome.fingerprint.as_str())),
@@ -322,42 +277,11 @@ fn outcome_to_json(outcome: &SolveOutcome) -> Result<Json, WireError> {
 }
 
 fn outcome_from_json(doc: &Json) -> Result<SolveOutcome, WireError> {
-    let degraded_from = match doc
-        .get("degraded_from")
-        .ok_or_else(|| WireError::Schema("outcome needs 'degraded_from'".into()))?
-    {
-        Json::Null => None,
-        other => Some(
-            other
-                .as_str()
-                .ok_or_else(|| {
-                    WireError::Schema("'degraded_from' must be a string or null".into())
-                })?
-                .to_owned(),
-        ),
-    };
-    let cu_counts = doc
-        .get("cu_counts")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| WireError::Schema("outcome needs a 'cu_counts' array".into()))?
-        .iter()
-        .map(|item| {
-            let raw = item
-                .as_f64()
-                .ok_or_else(|| WireError::Schema("cu_counts entries must be numbers".into()))?;
-            if raw < 0.0 || raw.fract() != 0.0 || raw > f64::from(u32::MAX) {
-                return Err(WireError::Invalid(format!(
-                    "cu_counts entry {raw} is not a u32"
-                )));
-            }
-            Ok(raw as u32)
-        })
-        .collect::<Result<Vec<_>, WireError>>()?;
     Ok(SolveOutcome {
         ii_ms: f64_field(doc, "ii_ms")?,
         backend: str_field(doc, "backend")?.to_owned(),
-        degraded_from,
-        cu_counts,
+        degraded_from: nullable_field(doc, "degraded_from", Json::as_str)?.map(str::to_owned),
+        cu_counts: cu_counts_from_json(arr_field(doc, "cu_counts")?)?,
         warm_start: str_field(doc, "warm_start")?.to_owned(),
         cache_hit: bool_field(doc, "cache_hit")?,
         fingerprint: str_field(doc, "fingerprint")?.to_owned(),
@@ -427,21 +351,10 @@ impl ToServe {
                 let backend = BackendKind::from_wire_label(backend).ok_or_else(|| {
                     WireError::Schema(format!("unknown backend kind '{backend}'"))
                 })?;
-                let deadline_seconds = match doc.get("deadline_seconds").ok_or_else(|| {
-                    WireError::Schema("solve frame needs 'deadline_seconds'".into())
-                })? {
-                    Json::Null => None,
-                    other => Some(other.as_f64().ok_or_else(|| {
-                        WireError::Schema("'deadline_seconds' must be a number or null".into())
-                    })?),
-                };
+                let deadline_seconds = nullable_field(&doc, "deadline_seconds", Json::as_f64)?;
                 Ok(ToServe::Solve {
                     id: usize_field(&doc, "id")?,
-                    problem: wire::problem_from_json(
-                        doc.get("problem").ok_or_else(|| {
-                            WireError::Schema("solve frame needs 'problem'".into())
-                        })?,
-                    )?,
+                    problem: wire::problem_from_json(field(&doc, "problem")?)?,
                     backend,
                     deadline_seconds,
                     warm: bool_field(&doc, "warm")?,
@@ -529,10 +442,7 @@ impl FromServe {
             }),
             "report" => Ok(FromServe::Report {
                 id: usize_field(&doc, "id")?,
-                outcome: outcome_from_json(
-                    doc.get("outcome")
-                        .ok_or_else(|| WireError::Schema("report frame needs 'outcome'".into()))?,
-                )?,
+                outcome: outcome_from_json(field(&doc, "outcome")?)?,
             }),
             "rejected" => Ok(FromServe::Rejected {
                 id: usize_field(&doc, "id")?,

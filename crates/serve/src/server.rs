@@ -2,15 +2,15 @@
 //! worker pool, and the deadline-aware degradation policy.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mfa_alloc::solver::{Backend, Deadline, SkipPolicy, SolveRequest, WarmStart};
 use mfa_alloc::{AllocError, AllocationProblem};
+use mfa_explore::session::{self, Daemon, FrameError, FrameReader, StopSignal};
 
 use crate::cache::{family_fingerprint, ServeCache};
 use crate::error::ServeError;
@@ -113,9 +113,9 @@ struct Job {
     conn: Arc<Conn>,
 }
 
-/// State shared by the accept loop, connection readers, and solver workers.
+/// State shared by the connection readers and the solver workers.
 struct Shared {
-    stop: AtomicBool,
+    stop: StopSignal,
     options: ServeOptions,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
@@ -128,16 +128,25 @@ struct Shared {
     read_timeouts: AtomicUsize,
 }
 
+impl Shared {
+    /// Stops the daemon: the accept loop, the readers and the workers.
+    fn shutdown(&self) {
+        self.stop.stop();
+        self.queue_cv.notify_all();
+    }
+}
+
 /// A running allocation daemon bound to a TCP address.
 ///
 /// [`spawn`](ServeHandle::spawn) binds the listener and starts the accept
-/// loop plus the solver workers; [`stop`](ServeHandle::stop) shuts all of
-/// them down and joins them. Each client connection is served by its own
-/// reader thread, which exits when the client disconnects.
+/// loop of [`mfa_explore::session`] plus the solver workers;
+/// [`stop`](ServeHandle::stop) shuts all of them down and joins them. Each
+/// client connection is served by its own reader thread, which exits when
+/// the client disconnects; at most
+/// [`MAX_SESSIONS`](mfa_explore::session::MAX_SESSIONS) run at once.
 pub struct ServeHandle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    daemon: Daemon,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -148,8 +157,7 @@ impl ServeHandle {
     ///
     /// Returns [`ServeError::Io`] when the address cannot be bound.
     pub fn spawn(addr: &str, options: ServeOptions) -> Result<ServeHandle, ServeError> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
+        let (listener, stop) = session::bind(addr)?;
         let cache = match &options.spill {
             Some(spec) => ServeCache::with_spill(
                 options.family_capacity,
@@ -159,7 +167,7 @@ impl ServeHandle {
             None => ServeCache::new(options.family_capacity, options.budget_capacity),
         };
         let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
+            stop: stop.clone(),
             cache: Mutex::new(cache),
             options,
             queue: Mutex::new(VecDeque::new()),
@@ -177,28 +185,33 @@ impl ServeHandle {
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        let accept = {
+        let daemon = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+            Daemon::spawn(
+                listener,
+                stop,
+                "serve",
+                error_line,
+                move |frames, writer| connection_loop(frames, writer, &shared),
+            )
         };
         Ok(ServeHandle {
-            addr: local,
             shared,
-            accept: Some(accept),
+            daemon,
             workers,
         })
     }
 
     /// The bound address (with `:0` resolved to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.local_addr()
     }
 
     /// `true` once the daemon has been asked to stop (by a client's
     /// shutdown frame or a concurrent [`stop`](Self::stop)); the `serve`
     /// binary polls this to know when to exit.
     pub fn is_stopped(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
+        self.shared.stop.is_stopped()
     }
 
     /// A snapshot of the daemon's counters.
@@ -222,15 +235,10 @@ impl ServeHandle {
     /// Stops the daemon: wakes the accept loop and the workers, then joins
     /// them. Jobs still queued are dropped unanswered; connection reader
     /// threads exit when their clients disconnect.
-    pub fn stop(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
+    pub fn stop(self) {
+        self.shared.shutdown();
+        self.daemon.stop();
+        for worker in self.workers {
             let _ = worker.join();
         }
     }
@@ -277,114 +285,63 @@ fn stats_report(shared: &Shared) -> StatsReport {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(shared);
-                // Reader threads are not joined: they exit at client EOF.
-                std::thread::spawn(move || connection_loop(stream, &shared));
-            }
-            Err(err) => {
-                eprintln!("serve: accept failed: {err}");
-            }
-        }
-    }
+/// An encoded `error` frame with id 0, for the accept loop.
+fn error_line(message: String) -> String {
+    FromServe::Error { id: 0, message }
+        .encode()
+        .expect("an error frame always encodes")
 }
 
 /// Serves one client connection: decodes frames, answers the handshake,
 /// admits solve requests into the bounded queue, and honours shutdown.
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let conn = match stream.try_clone() {
-        Ok(clone) => Arc::new(Conn {
-            writer: Mutex::new(clone),
-            pending: AtomicUsize::new(0),
-        }),
-        Err(err) => {
-            eprintln!("serve: cannot clone connection: {err}");
-            return;
-        }
-    };
-    if let Err(err) = stream.set_read_timeout(shared.options.read_timeout) {
+fn connection_loop(mut frames: FrameReader<TcpStream>, writer: TcpStream, shared: &Arc<Shared>) {
+    if let Err(err) = writer.set_read_timeout(shared.options.read_timeout) {
         eprintln!("serve: cannot arm read timeout: {err}");
         return;
     }
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let conn = Arc::new(Conn {
+        writer: Mutex::new(writer),
+        pending: AtomicUsize::new(0),
+    });
+    let close = |message: String| {
+        let _ = send(&conn.writer, &FromServe::Error { id: 0, message });
+    };
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
+        if shared.stop.is_stopped() {
             return;
         }
-        line.clear();
-        // Read one complete frame, riding out timeout windows while this
-        // connection is owed a reply.
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return,
-                Ok(_) => break,
-                // A timed-out read surfaces as WouldBlock or TimedOut
-                // depending on the platform.
-                Err(err)
-                    if matches!(
-                        err.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    // A client blocked on its own solve reply (queue wait
-                    // plus solve can outlast any timeout window) is waiting
-                    // on us, not stalled: keep listening. Bytes of a partial
-                    // frame read so far stay accumulated in `line`.
-                    if conn.pending.load(Ordering::Acquire) > 0 {
-                        continue;
-                    }
-                    // No reply owed: the client stalled mid-frame (or went
-                    // silent) and the reader thread is reclaimed.
-                    shared.read_timeouts.fetch_add(1, Ordering::Relaxed);
-                    let limit = shared
-                        .options
-                        .read_timeout
-                        .expect("a read only times out when a timeout is armed");
-                    let _ = write_frame(
-                        &conn.writer,
-                        &FromServe::Error {
-                            id: 0,
-                            message: ServeError::ReadTimeout(limit).to_string(),
-                        },
-                    );
-                    return;
-                }
-                Err(err) => {
-                    eprintln!("serve: connection read failed: {err}");
-                    return;
-                }
+        let frame = match frames.read_frame(session::MAX_FRAME_BYTES) {
+            Ok(Some(line)) => ToServe::decode(&line).map_err(|err| err.to_string()),
+            Ok(None) => return,
+            // A client blocked on its own solve reply (queue wait plus solve
+            // can outlast any timeout window) is waiting on us, not stalled:
+            // keep listening. Bytes of a partial frame stay buffered.
+            Err(FrameError::TimedOut) if conn.pending.load(Ordering::Acquire) > 0 => continue,
+            // No reply owed: the client stalled mid-frame (or went silent)
+            // and the reader thread is reclaimed.
+            Err(FrameError::TimedOut) => {
+                shared.read_timeouts.fetch_add(1, Ordering::Relaxed);
+                let limit = shared
+                    .options
+                    .read_timeout
+                    .expect("a read only times out when a timeout is armed");
+                return close(ServeError::ReadTimeout(limit).to_string());
             }
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match ToServe::decode(line.trim_end()) {
+            Err(FrameError::Io(err)) => {
+                eprintln!("serve: connection read failed: {err}");
+                return;
+            }
+            Err(err) => Err(err.to_string()),
+        };
+        match frame {
             Ok(ToServe::Hello { protocol }) => {
                 if protocol != PROTOCOL_VERSION {
-                    let _ = write_frame(
-                        &conn.writer,
-                        &FromServe::Error {
-                            id: 0,
-                            message: format!(
-                                "protocol version skew: daemon speaks {PROTOCOL_VERSION}, \
-                                 client sent {protocol}"
-                            ),
-                        },
-                    );
-                    return;
+                    return close(format!(
+                        "protocol version skew: daemon speaks {PROTOCOL_VERSION}, \
+                         client sent {protocol}"
+                    ));
                 }
-                let _ = write_frame(
+                let _ = send(
                     &conn.writer,
                     &FromServe::Ready {
                         protocol: PROTOCOL_VERSION,
@@ -401,7 +358,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 admit(shared, &conn, id, problem, backend, deadline_seconds, warm);
             }
             Ok(ToServe::Stats { id }) => {
-                let _ = write_frame(
+                let _ = send(
                     &conn.writer,
                     &FromServe::Stats {
                         id,
@@ -409,27 +366,13 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     },
                 );
             }
-            Ok(ToServe::Shutdown) => {
-                shared.stop.store(true, Ordering::SeqCst);
-                shared.queue_cv.notify_all();
-                // Unblock the accept loop exactly like `ServeHandle::stop`.
-                if let Ok(Ok(local)) = conn.writer.lock().map(|w| w.local_addr()) {
-                    let _ = TcpStream::connect(local);
-                }
-                return;
-            }
+            Ok(ToServe::Shutdown) => return shared.shutdown(),
+            // An over-long, non-UTF-8 or undecodable frame. A stream that
+            // desynchronized once cannot be trusted to frame the next line
+            // either.
             Err(err) => {
                 shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(
-                    &conn.writer,
-                    &FromServe::Error {
-                        id: 0,
-                        message: format!("malformed frame: {err}"),
-                    },
-                );
-                // A stream that desynchronized once cannot be trusted to
-                // frame the next line either.
-                return;
+                return close(format!("malformed frame: {err}"));
             }
         }
     }
@@ -452,7 +395,7 @@ fn admit(
     let deadline = match deadline_seconds.map(Deadline::within_seconds).transpose() {
         Ok(deadline) => deadline,
         Err(err) => {
-            let _ = write_frame(
+            let _ = send(
                 &conn.writer,
                 &FromServe::Error {
                     id,
@@ -486,7 +429,7 @@ fn admit(
     };
     if let Some(queue_depth) = rejected {
         shared.rejected.fetch_add(1, Ordering::Relaxed);
-        let _ = write_frame(
+        let _ = send(
             &conn.writer,
             &FromServe::Rejected {
                 id,
@@ -502,10 +445,10 @@ fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let batch = {
             let mut queue = shared.queue.lock().expect("queue mutex poisoned");
-            while queue.is_empty() && !shared.stop.load(Ordering::SeqCst) {
+            while queue.is_empty() && !shared.stop.is_stopped() {
                 queue = shared.queue_cv.wait(queue).expect("queue mutex poisoned");
             }
-            if shared.stop.load(Ordering::SeqCst) {
+            if shared.stop.is_stopped() {
                 return;
             }
             let take = shared.options.batch_size.max(1).min(queue.len());
@@ -514,7 +457,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         for job in batch {
             let conn = Arc::clone(&job.conn);
             let reply = serve_one(shared, job);
-            let _ = write_frame(&conn.writer, &reply);
+            let _ = send(&conn.writer, &reply);
             conn.pending.fetch_sub(1, Ordering::AcqRel);
         }
     }
@@ -663,11 +606,10 @@ fn error_reply(shared: &Arc<Shared>, job: &Job, err: &AllocError) -> FromServe {
     }
 }
 
-fn write_frame(writer: &Mutex<TcpStream>, frame: &FromServe) -> Result<(), ServeError> {
+/// Encodes `frame` and writes it under the connection's writer lock.
+fn send(writer: &Mutex<TcpStream>, frame: &FromServe) -> Result<(), ServeError> {
     let line = frame.encode()?;
-    let mut stream = writer.lock().expect("writer mutex poisoned");
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
+    let stream = writer.lock().expect("writer mutex poisoned");
+    session::write_frame(&*stream, line)?;
     Ok(())
 }

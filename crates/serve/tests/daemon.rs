@@ -454,3 +454,86 @@ fn daemons_sharing_a_store_server_see_each_others_families() {
     store.stop();
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+#[test]
+fn an_oversized_frame_gets_an_error_frame_and_a_closed_session() {
+    let (handle, addr) = spawn(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    let stream = TcpStream::connect(&addr).unwrap();
+    // A daemon that keeps buffering instead of answering fails the test
+    // rather than hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // One byte over the limit, and no newline in sight.
+    (&stream)
+        .write_all(&vec![b'x'; mfa_explore::session::MAX_FRAME_BYTES + 1])
+        .unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match FromServe::decode(reply.trim_end()).unwrap() {
+        FromServe::Error { id, message } => {
+            assert_eq!(id, 0);
+            assert!(message.contains("longer than"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "expected EOF");
+    assert_eq!(handle.stats().decode_errors, 1);
+    // The daemon still serves a fresh client.
+    let mut client = ServeClient::connect(&addr).unwrap();
+    let reply = client
+        .solve(&alex16(0.70), BackendKind::Greedy, None, false)
+        .unwrap();
+    assert!(matches!(reply, SolveReply::Report(_)));
+    handle.stop();
+}
+
+#[test]
+fn connections_over_the_session_cap_are_refused_until_a_slot_frees() {
+    let (handle, addr) = spawn(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    // Fill every session slot with an idle connection.
+    let mut idle: Vec<TcpStream> = (0..mfa_explore::session::MAX_SESSIONS)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+    // The next connection gets an error frame and is closed.
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match FromServe::decode(reply.trim_end()).unwrap() {
+        FromServe::Error { id, message } => {
+            assert_eq!(id, 0);
+            assert!(message.contains("too many sessions"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "expected EOF");
+    // Closing one idle session frees its slot: a new client completes its
+    // handshake once the daemon has noticed.
+    drop(idle.pop());
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let mut client = loop {
+        match ServeClient::connect(&addr) {
+            Ok(client) => break client,
+            Err(err) => {
+                assert!(std::time::Instant::now() < deadline, "no slot freed: {err}");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+    };
+    assert!(client.stats().is_ok());
+    drop(idle);
+    handle.stop();
+}

@@ -3,11 +3,11 @@
 //! shared network store through the exact surface a local directory store
 //! offers.
 
-use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use mfa_alloc::fingerprint::Fingerprint;
+use mfa_explore::session::{write_frame, FrameReader};
 use mfa_explore::store::{ResultStore, StoreEntry};
 use mfa_explore::{ExploreError, GcReport};
 
@@ -28,32 +28,26 @@ pub fn store_url(spec: &str) -> Option<&str> {
 /// owning [`RemoteStore`] dials a fresh one on the next request.
 #[derive(Debug)]
 struct Session {
-    reader: BufReader<TcpStream>,
+    reader: FrameReader<TcpStream>,
     writer: TcpStream,
 }
 
 impl Session {
     fn send(&mut self, frame: &ToStore) -> Result<(), StoreNetError> {
-        let line = frame.encode()?;
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        Ok(())
+        Ok(write_frame(&mut self.writer, frame.encode()?)?)
     }
 
     fn read_frame(&mut self) -> Result<FromStore, StoreNetError> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(StoreNetError::Protocol(
-                    "store-server closed the session mid-request".into(),
-                ));
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            return Ok(FromStore::decode(line.trim_end())?);
+        // No length limit: a snapshot reply grows with the namespace.
+        match self
+            .reader
+            .read_frame(usize::MAX)
+            .map_err(std::io::Error::other)?
+        {
+            Some(line) => Ok(FromStore::decode(&line)?),
+            None => Err(StoreNetError::Protocol(
+                "store-server closed the session mid-request".into(),
+            )),
         }
     }
 
@@ -236,7 +230,7 @@ impl RemoteStore {
         stream.set_write_timeout(self.io_timeout)?;
         let writer = stream.try_clone()?;
         let mut session = Session {
-            reader: BufReader::new(stream),
+            reader: FrameReader::new(stream),
             writer,
         };
         session.send(&ToStore::Hello {

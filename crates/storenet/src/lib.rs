@@ -8,7 +8,8 @@
 //! - [`StoreServer`] — the store-server: serves the namespaces under one
 //!   root directory over the workspace's JSON-lines wire protocol
 //!   ([`protocol`], version-locked to the dispatcher's and daemon's frames
-//!   through the shared [`protocol::PROTOCOL_VERSION`]).
+//!   through the shared [`protocol::PROTOCOL_VERSION`]). Sessions, framing
+//!   and their limits come from [`mfa_explore::session`].
 //! - [`RemoteStore`] — the client: implements the same
 //!   [`ResultStore`](mfa_explore::ResultStore) trait a local
 //!   [`SweepStore`](mfa_explore::SweepStore) does, so the threaded and

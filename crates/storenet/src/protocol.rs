@@ -2,11 +2,11 @@
 //! store-server.
 //!
 //! Every frame is one compact JSON object on one `\n`-terminated line with a
-//! `"type"` tag, exactly like the sweep dispatcher's and the allocation
-//! daemon's frames; all three families share one version constant
-//! ([`PROTOCOL_VERSION`]) so any incompatible change to any of them is a
-//! single bump visible to every JSON-lines peer in the workspace. Entry
-//! payloads are the store's own canonical line documents
+//! `"type"` tag, framed by [`mfa_explore::session`] like the sweep
+//! dispatcher's and the allocation daemon's frames; all three families share
+//! one version constant ([`PROTOCOL_VERSION`]) so any incompatible change to
+//! any of them is a single bump visible to every JSON-lines peer in the
+//! workspace. Entry payloads are the store's own canonical line documents
 //! ([`mfa_explore::store::entry_to_json`]), so an entry crosses the wire in
 //! exactly the bytes a segment file would hold — floats round-trip
 //! bit-for-bit, which is what keeps remote replay byte-identical to local.
@@ -38,13 +38,13 @@
 use mfa_alloc::fingerprint::Fingerprint;
 use mfa_explore::json::Json;
 use mfa_explore::store::{entry_from_json, entry_to_json, GcReport, StoreEntry};
-use mfa_explore::wire::WireError;
+use mfa_explore::wire::{
+    arr_field, field, nullable_field, str_field, type_tag, usize_field, WireError,
+};
 
 /// Protocol version of the store frames — shared with the sweep dispatcher
-/// and the allocation daemon (see
-/// [`mfa_dispatch::protocol::PROTOCOL_VERSION`], which documents the version
-/// history).
-pub use mfa_dispatch::protocol::PROTOCOL_VERSION;
+/// and the allocation daemon (its history is on the definition).
+pub use mfa_explore::session::PROTOCOL_VERSION;
 
 /// What a `get` frame asks for.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,25 +172,10 @@ pub enum FromStore {
     },
 }
 
-fn type_tag(doc: &Json) -> Result<&str, WireError> {
-    doc.get("type")
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::Schema("frame needs a string 'type' tag".into()))
-}
-
-fn usize_field(doc: &Json, key: &str) -> Result<usize, WireError> {
-    doc.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be an integer")))
-}
-
-fn str_field<'a>(doc: &'a Json, key: &str) -> Result<&'a str, WireError> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::Schema(format!("frame field '{key}' must be a string")))
-}
-
-fn fingerprint_of(raw: &str) -> Result<Fingerprint, WireError> {
+fn fingerprint_of(value: &Json) -> Result<Fingerprint, WireError> {
+    let raw = value
+        .as_str()
+        .ok_or_else(|| WireError::Schema("a fingerprint must be a string".into()))?;
     raw.parse()
         .map_err(|_| WireError::Invalid(format!("'{raw}' is not a fingerprint")))
 }
@@ -218,10 +203,7 @@ impl ToStore {
                 ("protocol", Json::Num(*protocol as f64)),
                 (
                     "namespace",
-                    match namespace {
-                        Some(ns) => Json::str(ns.as_str()),
-                        None => Json::Null,
-                    },
+                    namespace.as_deref().map_or(Json::Null, Json::str),
                 ),
             ]),
             ToStore::Get { id, query } => {
@@ -273,59 +255,32 @@ impl ToStore {
     pub fn decode(line: &str) -> Result<ToStore, WireError> {
         let doc = Json::parse(line).map_err(|err| WireError::Parse(err.to_string()))?;
         match type_tag(&doc)? {
-            "store-hello" => {
-                let namespace = match doc
-                    .get("namespace")
-                    .ok_or_else(|| WireError::Schema("store-hello needs 'namespace'".into()))?
-                {
-                    Json::Null => None,
-                    other => Some(
-                        other
-                            .as_str()
-                            .ok_or_else(|| {
-                                WireError::Schema("'namespace' must be a string or null".into())
-                            })?
-                            .to_owned(),
-                    ),
-                };
-                Ok(ToStore::Hello {
-                    protocol: usize_field(&doc, "protocol")?,
-                    namespace,
-                })
-            }
+            "store-hello" => Ok(ToStore::Hello {
+                protocol: usize_field(&doc, "protocol")?,
+                namespace: nullable_field(&doc, "namespace", Json::as_str)?.map(str::to_owned),
+            }),
             "get" => {
                 let id = usize_field(&doc, "id")?;
-                let query =
-                    if let Some(fps) = doc.get("fps") {
-                        let fps = fps
-                            .as_arr()
-                            .ok_or_else(|| WireError::Schema("'fps' must be an array".into()))?
+                let query = if doc.get("fps").is_some() {
+                    GetQuery::Points(
+                        arr_field(&doc, "fps")?
                             .iter()
-                            .map(|item| {
-                                fingerprint_of(item.as_str().ok_or_else(|| {
-                                    WireError::Schema("'fps' entries must be strings".into())
-                                })?)
-                            })
-                            .collect::<Result<Vec<_>, WireError>>()?;
-                        GetQuery::Points(fps)
-                    } else if let Some(series) = doc.get("series") {
-                        GetQuery::Series(fingerprint_of(series.as_str().ok_or_else(|| {
-                            WireError::Schema("'series' must be a string".into())
-                        })?)?)
-                    } else if doc.get("all").and_then(Json::as_bool) == Some(true) {
-                        GetQuery::All
-                    } else {
-                        return Err(WireError::Schema(
-                            "get frame needs 'fps', 'series' or 'all':true".into(),
-                        ));
-                    };
+                            .map(fingerprint_of)
+                            .collect::<Result<_, _>>()?,
+                    )
+                } else if doc.get("series").is_some() {
+                    GetQuery::Series(fingerprint_of(field(&doc, "series")?)?)
+                } else if doc.get("all").and_then(Json::as_bool) == Some(true) {
+                    GetQuery::All
+                } else {
+                    return Err(WireError::Schema(
+                        "get frame needs 'fps', 'series' or 'all':true".into(),
+                    ));
+                };
                 Ok(ToStore::Get { id, query })
             }
             "put" => {
-                let entries = doc
-                    .get("entries")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| WireError::Schema("put frame needs an 'entries' array".into()))?
+                let entries = arr_field(&doc, "entries")?
                     .iter()
                     .map(|item| {
                         entry_from_json(item)?.ok_or_else(|| {
@@ -442,12 +397,7 @@ impl FromStore {
                 protocol: usize_field(&doc, "protocol")?,
             }),
             "entries" => {
-                let entries = doc
-                    .get("entries")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| {
-                        WireError::Schema("entries frame needs an 'entries' array".into())
-                    })?
+                let entries = arr_field(&doc, "entries")?
                     .iter()
                     .map(|item| match item {
                         Json::Null => Ok(None),

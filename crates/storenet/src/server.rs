@@ -2,14 +2,13 @@
 //! namespaced [`SweepStore`] directories over the JSON-lines protocol.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
+use mfa_explore::session::{self, write_frame, Daemon, FrameError, FrameReader, StopSignal};
 use mfa_explore::store::{ResultStore, SweepStore};
 
 use crate::error::StoreNetError;
@@ -75,9 +74,9 @@ fn validate_namespace(namespace: &str) -> Result<(), String> {
 /// different namespaces never serialize behind one store's disk I/O.
 type SharedStore = Arc<Mutex<SweepStore>>;
 
-/// State shared by the accept loop and the connection sessions.
+/// State shared by the connection sessions.
 struct Shared {
-    stop: AtomicBool,
+    stop: StopSignal,
     root: PathBuf,
     options: StoreServerOptions,
     /// Open namespaces, one lock per store. A `BTreeMap` so stats
@@ -122,14 +121,15 @@ impl Shared {
 /// under one root directory.
 ///
 /// [`spawn`](StoreServer::spawn) binds the listener and starts the accept
-/// loop; each client connection gets its own session thread (exiting at
-/// client EOF). [`stop`](StoreServer::stop) shuts the accept loop down and
-/// joins it — sessions hold no dirty state (every `put` is committed to disk
-/// before `put-ok` is written), so they are simply abandoned.
+/// loop of [`mfa_explore::session`]; each client connection gets its own
+/// session thread (exiting at client EOF), up to
+/// [`MAX_SESSIONS`](mfa_explore::session::MAX_SESSIONS) at once.
+/// [`stop`](StoreServer::stop) shuts the accept loop down and joins it —
+/// sessions hold no dirty state (every `put` is committed to disk before
+/// `put-ok` is written), so they are simply abandoned.
 pub struct StoreServer {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    daemon: Daemon,
 }
 
 impl StoreServer {
@@ -154,10 +154,9 @@ impl StoreServer {
         root: impl Into<PathBuf>,
         options: StoreServerOptions,
     ) -> Result<StoreServer, StoreNetError> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
+        let (listener, stop) = session::bind(addr)?;
         let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
+            stop: stop.clone(),
             root: root.into(),
             options,
             stores: Mutex::new(BTreeMap::new()),
@@ -165,27 +164,29 @@ impl StoreServer {
             misses: AtomicUsize::new(0),
             puts: AtomicUsize::new(0),
         });
-        let accept = {
+        let daemon = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+            Daemon::spawn(
+                listener,
+                stop,
+                "store-server",
+                error_line,
+                move |frames, writer| session_loop(frames, writer, &shared),
+            )
         };
-        Ok(StoreServer {
-            addr: local,
-            shared,
-            accept: Some(accept),
-        })
+        Ok(StoreServer { shared, daemon })
     }
 
     /// The bound address (with `:0` resolved to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.local_addr()
     }
 
     /// `true` once the server has been asked to stop (by a client's
     /// shutdown frame or a concurrent [`stop`](Self::stop)); the
     /// `store-server` binary polls this to know when to exit.
     pub fn is_stopped(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
+        self.shared.stop.is_stopped()
     }
 
     /// A snapshot of the server's aggregate counters.
@@ -196,33 +197,22 @@ impl StoreServer {
     /// Stops the server: wakes the accept loop and joins it. Session
     /// threads exit when their clients disconnect; committed data is
     /// already on disk.
-    pub fn stop(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+    pub fn stop(self) {
+        self.daemon.stop();
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(shared);
-                // Session threads are not joined: they exit at client EOF.
-                std::thread::spawn(move || session_loop(stream, &shared));
-            }
-            Err(err) => {
-                eprintln!("store-server: accept failed: {err}");
-            }
-        }
-    }
+/// An encoded `error` frame with id 0 (error frames carry no float, so they
+/// always encode).
+fn error_line(message: String) -> String {
+    FromStore::Error { id: 0, message }
+        .encode()
+        .expect("an error frame always encodes")
+}
+
+/// Answers a session-level failure; the caller then closes the session.
+fn close(writer: &mut TcpStream, message: String) {
+    let _ = write_frame(writer, error_line(message));
 }
 
 /// Runs `op` against the session's bound namespace, or builds the error
@@ -249,77 +239,48 @@ fn with_bound_store<T>(
 }
 
 /// Serves one client session: handshake (which binds the namespace), then
-/// get/put/stats/evict requests until EOF or shutdown.
-fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let mut writer = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(err) => {
-            eprintln!("store-server: cannot clone connection: {err}");
-            return;
-        }
-    };
-    if let Err(err) = stream.set_read_timeout(shared.options.read_timeout) {
+/// get/put/stats/evict requests until EOF or shutdown. Any session-level
+/// failure answers one `error` frame with id 0 and closes the session.
+fn session_loop(mut frames: FrameReader<TcpStream>, mut writer: TcpStream, shared: &Arc<Shared>) {
+    if let Err(err) = writer.set_read_timeout(shared.options.read_timeout) {
         eprintln!("store-server: cannot arm read timeout: {err}");
         return;
     }
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
     let mut bound: Option<SharedStore> = None;
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
+        if shared.stop.is_stopped() {
             return;
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {}
-            // A timed-out read surfaces as WouldBlock or TimedOut depending
-            // on the platform. Sessions are strict request/reply — the
-            // server never owes this client a reply while it waits here —
-            // so a silent window this long means a stalled (or gone)
-            // client, and the session thread is reclaimed. A RemoteStore
-            // client that was merely idle redials on its next request.
-            Err(err)
-                if matches!(
-                    err.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
+        let frame = match frames.read_frame(session::MAX_FRAME_BYTES) {
+            Ok(Some(line)) => ToStore::decode(&line).map_err(|err| err.to_string()),
+            Ok(None) => return,
+            // Sessions are strict request/reply — the server never owes this
+            // client a reply while it waits here — so a silent window this
+            // long means a stalled (or gone) client, and the session thread
+            // is reclaimed. A RemoteStore client that was merely idle
+            // redials on its next request.
+            Err(FrameError::TimedOut) => {
                 let limit = shared
                     .options
                     .read_timeout
                     .expect("a read only times out when a timeout is armed");
-                let _ = write_frame(
+                return close(
                     &mut writer,
-                    &FromStore::Error {
-                        id: 0,
-                        message: format!("session timed out: no complete frame within {limit:?}"),
-                    },
+                    format!("session timed out: no complete frame within {limit:?}"),
                 );
-                return;
             }
-            Err(err) => {
+            Err(FrameError::Io(err)) => {
                 eprintln!("store-server: connection read failed: {err}");
                 return;
             }
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let frame = match ToStore::decode(line.trim_end()) {
+            Err(err) => Err(err.to_string()),
+        };
+        let frame = match frame {
             Ok(frame) => frame,
-            Err(err) => {
-                let _ = write_frame(
-                    &mut writer,
-                    &FromStore::Error {
-                        id: 0,
-                        message: format!("malformed frame: {err}"),
-                    },
-                );
-                // A stream that desynchronized once cannot be trusted to
-                // frame the next line either.
-                return;
-            }
+            // An over-long, non-UTF-8 or undecodable frame. A stream that
+            // desynchronized once cannot be trusted to frame the next line
+            // either.
+            Err(err) => return close(&mut writer, format!("malformed frame: {err}")),
         };
         let reply = match frame {
             ToStore::Hello {
@@ -327,17 +288,13 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 namespace,
             } => {
                 if protocol != PROTOCOL_VERSION {
-                    let _ = write_frame(
+                    return close(
                         &mut writer,
-                        &FromStore::Error {
-                            id: 0,
-                            message: format!(
-                                "protocol version skew: store-server speaks \
-                                 {PROTOCOL_VERSION}, client sent {protocol}"
-                            ),
-                        },
+                        format!(
+                            "protocol version skew: store-server speaks \
+                             {PROTOCOL_VERSION}, client sent {protocol}"
+                        ),
                     );
-                    return;
                 }
                 match bind_namespace(shared, namespace) {
                     Ok(store) => {
@@ -346,10 +303,7 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
                             protocol: PROTOCOL_VERSION,
                         }
                     }
-                    Err(message) => {
-                        let _ = write_frame(&mut writer, &FromStore::Error { id: 0, message });
-                        return;
-                    }
+                    Err(message) => return close(&mut writer, message),
                 }
             }
             ToStore::Get { id, query } => {
@@ -390,16 +344,10 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     Err(reply) => reply,
                 }
             }
-            ToStore::Shutdown => {
-                shared.stop.store(true, Ordering::SeqCst);
-                // Unblock the accept loop exactly like `StoreServer::stop`.
-                if let Ok(local) = writer.local_addr() {
-                    let _ = TcpStream::connect(local);
-                }
-                return;
-            }
+            ToStore::Shutdown => return shared.stop.stop(),
         };
-        if write_frame(&mut writer, &reply).is_err() {
+        let Ok(line) = reply.encode() else { return };
+        if write_frame(&mut writer, line).is_err() {
             return;
         }
     }
@@ -439,14 +387,6 @@ fn serve_get(store: &mut SweepStore, query: &GetQuery) -> Result<Slots, StoreNet
         GetQuery::Series(series) => store.get_series(series)?.into_iter().map(Some).collect(),
         GetQuery::All => store.snapshot()?.into_iter().map(Some).collect(),
     })
-}
-
-fn write_frame(writer: &mut TcpStream, frame: &FromStore) -> Result<(), StoreNetError> {
-    let line = frame.encode()?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    Ok(())
 }
 
 #[cfg(test)]

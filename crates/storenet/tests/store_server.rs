@@ -243,6 +243,40 @@ fn stalled_sessions_are_timed_out_and_reclaimed() {
 }
 
 #[test]
+fn an_oversized_frame_gets_an_error_frame_and_a_closed_session() {
+    let root = temp_root("oversized");
+    let (server, addr) = spawn(&root);
+    let stream = TcpStream::connect(&addr).unwrap();
+    // A server that keeps buffering instead of answering fails the test
+    // rather than hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // One byte over the limit, and no newline in sight.
+    (&stream)
+        .write_all(&vec![b'x'; mfa_explore::session::MAX_FRAME_BYTES + 1])
+        .unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match FromStore::decode(reply.trim_end()).unwrap() {
+        FromStore::Error { id, message } => {
+            assert_eq!(id, 0);
+            assert!(message.contains("longer than"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "expected EOF");
+
+    // The server itself keeps serving fresh sessions.
+    let mut client = RemoteStore::connect(&addr, "fig2").expect("connect after the frame");
+    assert_eq!(client.stats().expect("stats").namespaces, 1);
+    server.stop();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
 fn an_idle_timed_out_session_reconnects_transparently() {
     let root = temp_root("idle-reconnect");
     let server = StoreServer::spawn_with(
