@@ -710,313 +710,4 @@ fn phase_one(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{GpProblem, Monomial, Posynomial};
-
-    fn close(a: f64, b: f64, tol: f64) -> bool {
-        (a - b).abs() <= tol * (1.0 + b.abs())
-    }
-
-    #[test]
-    fn minimize_x_with_lower_bound() {
-        // minimize x s.t. 1/x ≤ 1  →  x = 1.
-        let mut gp = GpProblem::new();
-        let x = gp.add_var("x").unwrap();
-        gp.set_objective(Posynomial::monomial(1.0, &[(x, 1.0)]));
-        gp.add_le_constraint("x ≥ 1", Posynomial::monomial(1.0, &[(x, -1.0)]))
-            .unwrap();
-        let sol = gp.solve().unwrap();
-        assert!(close(sol.value(x), 1.0, 1e-4), "x = {}", sol.value(x));
-        assert!(close(sol.objective(), 1.0, 1e-4));
-    }
-
-    #[test]
-    fn maximize_product_under_upper_bounds() {
-        // minimize 1/(xy) s.t. x ≤ 2, y ≤ 3 → objective 1/6 at (2, 3).
-        let mut gp = GpProblem::new();
-        let x = gp.add_var("x").unwrap();
-        let y = gp.add_var("y").unwrap();
-        gp.set_objective(Posynomial::monomial(1.0, &[(x, -1.0), (y, -1.0)]));
-        gp.add_le_constraint("x ≤ 2", Posynomial::monomial(0.5, &[(x, 1.0)]))
-            .unwrap();
-        gp.add_le_constraint("y ≤ 3", Posynomial::monomial(1.0 / 3.0, &[(y, 1.0)]))
-            .unwrap();
-        let sol = gp.solve().unwrap();
-        assert!(close(sol.value(x), 2.0, 1e-3));
-        assert!(close(sol.value(y), 3.0, 1e-3));
-        assert!(close(sol.objective(), 1.0 / 6.0, 1e-3));
-    }
-
-    #[test]
-    fn box_design_problem() {
-        // Classic GP: maximize volume hwd subject to wall area and floor area
-        // limits: 2(hw + hd) ≤ 100, wd ≤ 10. Minimize h⁻¹w⁻¹d⁻¹.
-        let mut gp = GpProblem::new();
-        let h = gp.add_var("h").unwrap();
-        let w = gp.add_var("w").unwrap();
-        let d = gp.add_var("d").unwrap();
-        gp.set_objective(Posynomial::monomial(
-            1.0,
-            &[(h, -1.0), (w, -1.0), (d, -1.0)],
-        ));
-        let wall = Posynomial::monomial(2.0 / 100.0, &[(h, 1.0), (w, 1.0)])
-            .with_term(Monomial::new(2.0 / 100.0, &[(h, 1.0), (d, 1.0)]));
-        gp.add_le_constraint("wall", wall).unwrap();
-        gp.add_le_constraint(
-            "floor",
-            Posynomial::monomial(1.0 / 10.0, &[(w, 1.0), (d, 1.0)]),
-        )
-        .unwrap();
-        let sol = gp.solve().unwrap();
-        // Analytic optimum: w = d = √10, h = 100/(4√10), volume = 250/√10.
-        let w_star = 10.0_f64.sqrt();
-        let h_star = 100.0 / (4.0 * w_star);
-        assert!(close(sol.value(w), w_star, 1e-2), "w = {}", sol.value(w));
-        assert!(close(sol.value(d), w_star, 1e-2), "d = {}", sol.value(d));
-        assert!(close(sol.value(h), h_star, 1e-2), "h = {}", sol.value(h));
-        let volume = sol.value(h) * sol.value(w) * sol.value(d);
-        assert!(close(volume, 250.0 / w_star, 1e-2));
-    }
-
-    #[test]
-    fn infeasible_problem_is_reported() {
-        // x ≤ 1 and x ≥ 2 simultaneously.
-        let mut gp = GpProblem::new();
-        let x = gp.add_var("x").unwrap();
-        gp.set_objective(Posynomial::monomial(1.0, &[(x, 1.0)]));
-        gp.add_le_constraint("x ≤ 1", Posynomial::monomial(1.0, &[(x, 1.0)]))
-            .unwrap();
-        gp.add_le_constraint("x ≥ 2", Posynomial::monomial(2.0, &[(x, -1.0)]))
-            .unwrap();
-        assert_eq!(gp.solve().unwrap_err(), GpError::Infeasible);
-    }
-
-    #[test]
-    fn posynomial_constraint_with_shared_budget() {
-        // minimize II s.t. 3/(N1·II) ≤ 1, 5/(N2·II) ≤ 1, 0.2·N1 + 0.3·N2 ≤ 1.
-        // This is the shape of the paper's GP (two kernels, one resource).
-        // At the optimum the budget is tight and both kernels are critical:
-        // N1 = 3/II, N2 = 5/II → 0.2·3/II + 0.3·5/II = 1 → II = 2.1.
-        let mut gp = GpProblem::new();
-        let ii = gp.add_var("II").unwrap();
-        let n1 = gp.add_var("N1").unwrap();
-        let n2 = gp.add_var("N2").unwrap();
-        gp.set_objective(Posynomial::monomial(1.0, &[(ii, 1.0)]));
-        gp.add_le_constraint("k1", Posynomial::monomial(3.0, &[(n1, -1.0), (ii, -1.0)]))
-            .unwrap();
-        gp.add_le_constraint("k2", Posynomial::monomial(5.0, &[(n2, -1.0), (ii, -1.0)]))
-            .unwrap();
-        let budget =
-            Posynomial::monomial(0.2, &[(n1, 1.0)]).with_term(Monomial::new(0.3, &[(n2, 1.0)]));
-        gp.add_le_constraint("budget", budget).unwrap();
-        let sol = gp.solve().unwrap();
-        assert!(
-            close(sol.objective(), 2.1, 1e-3),
-            "II = {}",
-            sol.objective()
-        );
-        assert!(close(sol.value(n1), 3.0 / 2.1, 1e-2));
-        assert!(close(sol.value(n2), 5.0 / 2.1, 1e-2));
-    }
-
-    #[test]
-    fn unconstrained_problem_with_interior_minimum() {
-        // minimize x + 1/x → minimum 2 at x = 1.
-        let mut gp = GpProblem::new();
-        let x = gp.add_var("x").unwrap();
-        let obj =
-            Posynomial::monomial(1.0, &[(x, 1.0)]).with_term(Monomial::new(1.0, &[(x, -1.0)]));
-        gp.set_objective(obj);
-        let sol = gp.solve().unwrap();
-        assert!(close(sol.value(x), 1.0, 1e-4));
-        assert!(close(sol.objective(), 2.0, 1e-6));
-    }
-
-    #[test]
-    fn constant_problem_with_no_variables() {
-        let mut gp = GpProblem::new();
-        gp.set_objective(Posynomial::constant(4.2));
-        let sol = gp.solve().unwrap();
-        assert_eq!(sol.objective(), 4.2);
-        assert!(sol.values().is_empty());
-    }
-
-    /// The shared-budget toy problem (see
-    /// `posynomial_constraint_with_shared_budget`): optimum II = 2.1.
-    fn budget_problem() -> (GpProblem, crate::GpVarId) {
-        let mut gp = GpProblem::new();
-        let ii = gp.add_var("II").unwrap();
-        let n1 = gp.add_var("N1").unwrap();
-        let n2 = gp.add_var("N2").unwrap();
-        gp.set_objective(Posynomial::monomial(1.0, &[(ii, 1.0)]));
-        gp.add_le_constraint("k1", Posynomial::monomial(3.0, &[(n1, -1.0), (ii, -1.0)]))
-            .unwrap();
-        gp.add_le_constraint("k2", Posynomial::monomial(5.0, &[(n2, -1.0), (ii, -1.0)]))
-            .unwrap();
-        let budget =
-            Posynomial::monomial(0.2, &[(n1, 1.0)]).with_term(Monomial::new(0.3, &[(n2, 1.0)]));
-        gp.add_le_constraint("budget", budget).unwrap();
-        (gp, ii)
-    }
-
-    #[test]
-    fn warm_start_skips_phase_one_and_keeps_the_optimum() {
-        let (gp, ii) = budget_problem();
-        let cold = gp.solve().unwrap();
-        assert!(!cold.warm_started());
-        // A strictly interior point a few percent off the optimum: II = 2.3,
-        // N_k = WCET_k / 2.2 (all constraint slacks strictly positive).
-        let warm = gp
-            .solve_with(&SolverOptions::warm_started(vec![
-                2.3,
-                3.0 / 2.2,
-                5.0 / 2.2,
-            ]))
-            .unwrap();
-        assert!(warm.warm_started());
-        assert!(
-            warm.newton_iterations() < cold.newton_iterations(),
-            "warm {} vs cold {} Newton steps",
-            warm.newton_iterations(),
-            cold.newton_iterations()
-        );
-        assert!(close(warm.value(ii), cold.value(ii), 1e-6));
-    }
-
-    #[test]
-    fn invalid_or_infeasible_warm_starts_are_ignored() {
-        let (gp, ii) = budget_problem();
-        let cold = gp.solve().unwrap();
-        for bad in [
-            vec![],                          // wrong length
-            vec![2.3, 3.0 / 2.2],            // wrong length
-            vec![-1.0, 1.0, 1.0],            // non-positive
-            vec![f64::NAN, 1.0, 1.0],        // non-finite
-            vec![0.5, 10.0, 10.0],           // infeasible (budget blown)
-            vec![2.1, 3.0 / 2.1, 5.0 / 2.1], // on the boundary, not strict
-        ] {
-            let sol = gp.solve_with(&SolverOptions::warm_started(bad)).unwrap();
-            assert!(!sol.warm_started());
-            assert!(close(sol.value(ii), cold.value(ii), 1e-6));
-        }
-    }
-
-    #[test]
-    fn dual_warm_start_skips_the_early_barrier_path() {
-        let (gp, ii) = budget_problem();
-        let cold = gp.solve().unwrap();
-        assert!(!cold.dual_warm_started());
-        assert!(cold.barrier_iterations() > 1);
-        assert!(cold.factorizations() >= cold.newton_iterations());
-        let dual = cold
-            .dual_state()
-            .expect("variable problems carry duals")
-            .clone();
-        assert_eq!(dual.duals.len(), 3);
-        assert!(dual.duals.iter().all(|l| l.is_finite() && *l >= 0.0));
-        // Neighboring warm point (slightly off the optimum) plus the cold
-        // solve's dual state: phase II starts near the previous final t.
-        let warm_point = vec![2.3, 3.0 / 2.2, 5.0 / 2.2];
-        let warm = gp
-            .solve_with(&SolverOptions::warm_started_with_duals(
-                warm_point.clone(),
-                dual,
-            ))
-            .unwrap();
-        assert!(warm.warm_started());
-        assert!(warm.dual_warm_started());
-        assert!(
-            warm.barrier_iterations() < cold.barrier_iterations(),
-            "warm {} vs cold {} barrier iterations",
-            warm.barrier_iterations(),
-            cold.barrier_iterations()
-        );
-        assert!(
-            warm.factorizations() < cold.factorizations(),
-            "warm {} vs cold {} factorizations",
-            warm.factorizations(),
-            cold.factorizations()
-        );
-        assert!(close(warm.value(ii), cold.value(ii), 1e-6));
-        // The dual start also beats the primal-only warm start, which still
-        // walks the whole barrier path from t = initial_barrier.
-        let primal_only = gp
-            .solve_with(&SolverOptions::warm_started(warm_point))
-            .unwrap();
-        assert!(!primal_only.dual_warm_started());
-        assert!(warm.barrier_iterations() < primal_only.barrier_iterations());
-    }
-
-    #[test]
-    fn invalid_dual_states_are_ignored() {
-        let (gp, ii) = budget_problem();
-        let cold = gp.solve().unwrap();
-        let warm_point = vec![2.3, 3.0 / 2.2, 5.0 / 2.2];
-        let good_t = cold.dual_state().unwrap().barrier_t;
-        for bad in [
-            GpDualState {
-                barrier_t: good_t,
-                duals: vec![0.1, 0.1], // wrong length
-            },
-            GpDualState {
-                barrier_t: good_t,
-                duals: vec![0.1, -0.1, 0.1], // negative dual
-            },
-            GpDualState {
-                barrier_t: good_t,
-                duals: vec![0.1, f64::NAN, 0.1], // non-finite dual
-            },
-            GpDualState {
-                barrier_t: f64::INFINITY, // out-of-range t
-                duals: vec![0.1, 0.1, 0.1],
-            },
-            GpDualState {
-                barrier_t: 0.0, // below initial_barrier
-                duals: vec![0.1, 0.1, 0.1],
-            },
-        ] {
-            let sol = gp
-                .solve_with(&SolverOptions::warm_started_with_duals(
-                    warm_point.clone(),
-                    bad,
-                ))
-                .unwrap();
-            assert!(sol.warm_started());
-            assert!(!sol.dual_warm_started());
-            assert!(close(sol.value(ii), cold.value(ii), 1e-6));
-        }
-        // A dual state without an accepted primal hint is ignored too: the
-        // duals describe the central path near that point only.
-        let sol = gp
-            .solve_with(&SolverOptions {
-                initial_dual: Some(cold.dual_state().unwrap().clone()),
-                ..SolverOptions::default()
-            })
-            .unwrap();
-        assert!(!sol.warm_started());
-        assert!(!sol.dual_warm_started());
-        assert!(close(sol.value(ii), cold.value(ii), 1e-6));
-    }
-
-    #[test]
-    fn solver_options_are_respected() {
-        let mut gp = GpProblem::new();
-        let x = gp.add_var("x").unwrap();
-        gp.set_objective(Posynomial::monomial(1.0, &[(x, 1.0)]));
-        gp.add_le_constraint("lb", Posynomial::monomial(1.0, &[(x, -1.0)]))
-            .unwrap();
-        let loose = SolverOptions {
-            tolerance: 1e-2,
-            ..SolverOptions::default()
-        };
-        let tight = SolverOptions {
-            tolerance: 1e-10,
-            ..SolverOptions::default()
-        };
-        let sol_loose = gp.solve_with(&loose).unwrap();
-        let sol_tight = gp.solve_with(&tight).unwrap();
-        assert!(sol_loose.newton_iterations() <= sol_tight.newton_iterations());
-        assert!((sol_tight.value(x) - 1.0).abs() <= (sol_loose.value(x) - 1.0).abs() + 1e-9);
-    }
-}
+mod tests;
