@@ -7,6 +7,15 @@
 //! (Newton inner iterations with backtracking line search, geometric increase
 //! of the barrier parameter), preceded by a phase-I search for a strictly
 //! feasible point.
+//!
+//! Each Newton step evaluates every row once: its value, then its gradient
+//! and Hessian terms over the variables it references, into a workspace
+//! allocated once per phase. A single-monomial row (every latency, bound and
+//! implicit box row of the allocation GP) is affine in log-space, so it takes
+//! no `exp` or `ln`. A line-search trial evaluates each constraint once and
+//! rejects on the first that is not strictly negative, before any logarithm.
+//! Every sum keeps the operand order of the plain dense evaluation, which the
+//! unit tests check bit for bit at every step (`solver/reference.rs`).
 
 use mfa_linalg::{KktFactorization, LinalgError, Matrix, Vector};
 
@@ -201,115 +210,171 @@ impl GpSolution {
     }
 }
 
+/// One monomial term in log-space: its sparse exponent vector `a_t` and
+/// `b_t = ln(coeff)`.
+type Term = (Vec<(usize, f64)>, f64);
+
+/// The exponent `z_t = a_t · y + b_t` of one term.
+fn exponent((a, b): &Term, y: &[f64]) -> f64 {
+    a.iter().map(|&(j, e)| e * y[j]).sum::<f64>() + b
+}
+
 /// A posynomial in log-space: `F(y) = log Σ_t exp(a_t · y + b_t)`.
+///
+/// A single-monomial row is affine, `F(y) = z` for its one exponent `z`, so
+/// neither its value nor its derivatives take an `exp` or a `ln`.
 #[derive(Debug, Clone)]
 struct LogSumExp {
-    /// One row per monomial term: sparse exponent vector and `ln(coeff)`.
-    terms: Vec<(Vec<(usize, f64)>, f64)>,
+    terms: Vec<Term>,
+    /// The variables some term references, ascending. Derivatives are
+    /// accumulated over this support only.
+    support: Vec<usize>,
 }
 
 impl LogSumExp {
-    fn from_posynomial(p: &Posynomial) -> Self {
-        let terms = p
-            .terms()
+    fn new(terms: Vec<Term>) -> Self {
+        let mut support: Vec<usize> = terms
             .iter()
-            .map(|m| {
-                let a: Vec<(usize, f64)> =
-                    m.exponents().iter().map(|&(v, e)| (v.index(), e)).collect();
-                (a, m.coeff().ln())
-            })
+            .flat_map(|(a, _)| a.iter().map(|&(j, _)| j))
             .collect();
-        LogSumExp { terms }
+        support.sort_unstable();
+        support.dedup();
+        LogSumExp { terms, support }
     }
 
-    /// `true` if the function is affine in `y` (single monomial).
-    fn is_affine(&self) -> bool {
-        self.terms.len() == 1
+    fn from_posynomial(p: &Posynomial) -> Self {
+        LogSumExp::new(
+            p.terms()
+                .iter()
+                .map(|m| {
+                    let a = m.exponents().iter().map(|&(v, e)| (v.index(), e));
+                    (a.collect(), m.coeff().ln())
+                })
+                .collect(),
+        )
     }
 
-    fn value(&self, y: &Vector) -> f64 {
-        let zs: Vec<f64> = self
+    /// `F(y)`. An affine row returns `z + 0.0`, which is what the
+    /// max-shifted log-sum-exp gives for one finite exponent. Other rows
+    /// take that log-sum-exp and recompute each exponent in its second pass
+    /// rather than store it.
+    fn value(&self, y: &[f64]) -> f64 {
+        if let [term] = self.terms.as_slice() {
+            return exponent(term, y) + 0.0;
+        }
+        let max = self
             .terms
             .iter()
-            .map(|(a, b)| a.iter().map(|&(j, e)| e * y.get(j)).sum::<f64>() + b)
-            .collect();
-        log_sum_exp(&zs)
+            .map(|term| exponent(term, y))
+            .fold(f64::NEG_INFINITY, f64::max);
+        if !max.is_finite() {
+            return max;
+        }
+        let sum: f64 = self
+            .terms
+            .iter()
+            .map(|term| (exponent(term, y) - max).exp())
+            .sum();
+        max + sum.ln()
     }
 
-    /// Evaluates value, gradient and (optionally) Hessian contributions at `y`.
+    /// Adds `grad_scale · ∇F` to the workspace's `∇φ` and
+    /// `curvature_scale · ∇²F + rank_one_scale · ∇F ∇Fᵀ` to its `∇²φ`,
+    /// given `value = F(y)`.
     ///
-    /// The gradient buffer receives `grad_scale · ∇F`; the Hessian buffer (if
-    /// provided) receives `curvature_scale · ∇²F + rank_one_scale · ∇F ∇Fᵀ`.
-    /// Accumulating lets callers assemble barrier combinations without
-    /// temporaries.
+    /// Only entries on the row's support are touched. Off it, the dense sum
+    /// would add `±0`, which changes nothing: an accumulator that starts at
+    /// `+0.0` can never become `−0.0`.
     fn accumulate(
         &self,
-        y: &Vector,
+        y: &[f64],
+        value: f64,
         grad_scale: f64,
-        grad: &mut Vector,
-        hess: Option<(&mut Matrix, f64, f64)>,
-    ) -> f64 {
-        let zs: Vec<f64> = self
-            .terms
-            .iter()
-            .map(|(a, b)| a.iter().map(|&(j, e)| e * y.get(j)).sum::<f64>() + b)
-            .collect();
-        let value = log_sum_exp(&zs);
-        // Softmax weights.
-        let weights: Vec<f64> = zs.iter().map(|z| (z - value).exp()).collect();
-
-        // g = Σ w_t a_t.
-        let n = y.len();
-        let mut local_grad = vec![0.0; n];
+        curvature_scale: f64,
+        rank_one_scale: f64,
+        ws: &mut Workspace,
+    ) {
+        let grad = ws.grad.as_mut_slice();
+        let hess = &mut ws.hess;
+        if let [(a, _)] = self.terms.as_slice() {
+            // One term has softmax weight 1: ∇F = a and ∇²F = 0.
+            for &(j, e) in a {
+                grad[j] += grad_scale * e;
+            }
+            if rank_one_scale != 0.0 {
+                for &(j1, e1) in a {
+                    for &(j2, e2) in a {
+                        hess.add_to(j1, j2, rank_one_scale * e1 * e2);
+                    }
+                }
+            }
+            return;
+        }
+        let RowScratch { weights, row_grad } = &mut ws.row;
+        // Softmax weights, then ∇F = Σ w_t a_t.
+        weights.clear();
+        weights.extend(
+            self.terms
+                .iter()
+                .map(|term| (exponent(term, y) - value).exp()),
+        );
         for ((a, _), w) in self.terms.iter().zip(weights.iter()) {
             for &(j, e) in a {
-                local_grad[j] += w * e;
+                row_grad[j] += w * e;
             }
         }
-        if grad_scale != 0.0 {
-            for j in 0..n {
-                grad[j] += grad_scale * local_grad[j];
-            }
+        for &j in &self.support {
+            grad[j] += grad_scale * row_grad[j];
         }
-        if let Some((h, curvature_scale, rank_one_scale)) = hess {
-            // ∇²F = Σ w_t a_t a_tᵀ − g gᵀ for log-sum-exp (zero when affine).
-            if curvature_scale != 0.0 && !self.is_affine() {
-                for ((a, _), w) in self.terms.iter().zip(weights.iter()) {
-                    for &(j1, e1) in a {
-                        for &(j2, e2) in a {
-                            h.add_to(j1, j2, curvature_scale * w * e1 * e2);
-                        }
-                    }
-                }
-            }
-            // Combined g gᵀ coefficient: −curvature (from ∇²F) + rank-one.
-            let combined = rank_one_scale
-                - if self.is_affine() {
-                    0.0
-                } else {
-                    curvature_scale
-                };
-            if combined != 0.0 {
-                for j1 in 0..n {
-                    if local_grad[j1] == 0.0 {
-                        continue;
-                    }
-                    for j2 in 0..n {
-                        h.add_to(j1, j2, combined * local_grad[j1] * local_grad[j2]);
+        // ∇²F = Σ w_t a_t a_tᵀ − ∇F ∇Fᵀ; its −∇F ∇Fᵀ part joins the rank-one
+        // term.
+        if curvature_scale != 0.0 {
+            for ((a, _), w) in self.terms.iter().zip(weights.iter()) {
+                for &(j1, e1) in a {
+                    for &(j2, e2) in a {
+                        hess.add_to(j1, j2, curvature_scale * w * e1 * e2);
                     }
                 }
             }
         }
-        value
+        let combined = rank_one_scale - curvature_scale;
+        if combined != 0.0 {
+            for &j1 in &self.support {
+                if row_grad[j1] == 0.0 {
+                    continue;
+                }
+                for &j2 in &self.support {
+                    hess.add_to(j1, j2, combined * row_grad[j1] * row_grad[j2]);
+                }
+            }
+        }
+        for &j in &self.support {
+            row_grad[j] = 0.0;
+        }
     }
 }
 
-fn log_sum_exp(zs: &[f64]) -> f64 {
-    let max = zs.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-    if !max.is_finite() {
-        return max;
-    }
-    max + zs.iter().map(|z| (z - max).exp()).sum::<f64>().ln()
+/// Scratch space of one non-affine row's derivatives.
+struct RowScratch {
+    /// Softmax weights `exp(z_t − F(y))`, one per term.
+    weights: Vec<f64>,
+    /// `∇F`, dense; zero outside an `accumulate` call.
+    row_grad: Vec<f64>,
+}
+
+/// Everything one phase's Newton steps write, allocated once per phase:
+/// no step, row or line-search trial allocates.
+struct Workspace {
+    kkt: KktFactorization,
+    /// `∇φ` and its negation, the Newton right-hand side.
+    grad: Vector,
+    neg_grad: Vector,
+    /// `∇²φ`.
+    hess: Matrix,
+    row: RowScratch,
+    /// The line-search candidate and its constraint values.
+    candidate: Vector,
+    values: Vec<f64>,
 }
 
 /// Internal convex problem: minimize `objective(y)` subject to
@@ -321,58 +386,91 @@ struct ConvexProgram {
 }
 
 impl ConvexProgram {
+    fn workspace(&self) -> Result<Workspace, GpError> {
+        let n = self.n;
+        let max_terms = std::iter::once(&self.objective)
+            .chain(&self.constraints)
+            .map(|row| row.terms.len())
+            .max()
+            .unwrap_or(0);
+        Ok(Workspace {
+            kkt: KktFactorization::new(n).map_err(to_numerical)?,
+            grad: Vector::zeros(n),
+            neg_grad: Vector::zeros(n),
+            hess: Matrix::zeros(n, n).map_err(to_numerical)?,
+            row: RowScratch {
+                weights: Vec::with_capacity(max_terms),
+                row_grad: vec![0.0; n],
+            },
+            candidate: Vector::zeros(n),
+            values: vec![0.0; self.constraints.len()],
+        })
+    }
+
     /// Barrier centering: minimize `t·f0(y) − Σ log(−f_i(y))` by Newton.
     /// Returns the number of Newton steps. `y` must be strictly feasible.
     ///
-    /// Every Newton system is factored through the caller's reusable `kkt`
-    /// workspace: full refactorizations for the fresh Hessian of each step,
+    /// Every Newton system is factored through the workspace's reusable
+    /// `kkt`: full refactorizations for the fresh Hessian of each step,
     /// in-place diagonal refreshes for the ridge fallback on near-singular
-    /// Hessians. The workspace's counters therefore accumulate the solve's
-    /// factorization effort.
+    /// Hessians. Its counters therefore accumulate the phase's factorization
+    /// effort.
     fn center(
         &self,
         y: &mut Vector,
         t: f64,
         options: &SolverOptions,
-        kkt: &mut KktFactorization,
+        ws: &mut Workspace,
     ) -> Result<usize, GpError> {
         let mut steps = 0;
         for _ in 0..options.max_newton_iterations {
-            let (phi, grad, hess) = self.barrier_derivatives(y, t)?;
+            let phi = self.barrier_derivatives(y.as_slice(), t, ws)?;
+            #[cfg(test)]
+            self.check_derivatives(y.as_slice(), t, phi, ws);
+            for (neg, g) in ws.neg_grad.as_mut_slice().iter_mut().zip(ws.grad.iter()) {
+                *neg = -g;
+            }
             // Solve H Δ = −g with a ridge fallback for near-singular
             // Hessians; the ridge only touches the diagonal, so the fallback
             // is an in-place refresh rather than a second factorization from
             // scratch.
-            let step = match kkt.refactor(&hess) {
-                Ok(()) => kkt.solve(&(-&grad)).map_err(to_numerical)?,
+            let step = match ws.kkt.refactor(&ws.hess) {
+                Ok(()) => ws.kkt.solve(&ws.neg_grad).map_err(to_numerical)?,
                 Err(LinalgError::NotPositiveDefinite { .. }) => {
                     let ridge: Vec<f64> = (0..self.n)
-                        .map(|i| 1e-8 + 1e-8 * hess.get(i, i).abs())
+                        .map(|i| 1e-8 + 1e-8 * ws.hess.get(i, i).abs())
                         .collect();
-                    kkt.refresh_diagonal(&ridge).map_err(to_numerical)?;
-                    kkt.solve(&(-&grad)).map_err(to_numerical)?
+                    ws.kkt.refresh_diagonal(&ridge).map_err(to_numerical)?;
+                    ws.kkt.solve(&ws.neg_grad).map_err(to_numerical)?
                 }
                 Err(err) => return Err(to_numerical(err)),
             };
-            let decrement_sq = grad.dot(&(-&step)).map_err(to_numerical)?;
+            let decrement_sq: f64 = ws.grad.iter().zip(step.iter()).map(|(g, s)| g * -s).sum();
             if decrement_sq * 0.5 <= options.newton_tolerance {
                 break;
             }
             // Backtracking line search (Armijo on the barrier function,
             // restricted to the domain where all constraints stay negative).
             let mut alpha = 1.0;
-            let slope = grad.dot(&step).map_err(to_numerical)?;
+            let slope = ws.grad.dot(&step).map_err(to_numerical)?;
             let mut accepted = false;
             for _ in 0..60 {
-                let mut candidate = y.clone();
-                candidate.axpy(alpha, &step).map_err(to_numerical)?;
-                if self.strictly_feasible(&candidate) {
-                    let phi_candidate = self.barrier_value(&candidate, t);
-                    if phi_candidate <= phi + 1e-4 * alpha * slope {
-                        *y = candidate;
-                        accepted = true;
-                        break;
-                    }
+                for ((c, &yi), &si) in ws
+                    .candidate
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(y.iter())
+                    .zip(step.iter())
+                {
+                    *c = yi + alpha * si;
+                }
+                let trial = self.trial_value(ws.candidate.as_slice(), t, &mut ws.values);
+                #[cfg(test)]
+                self.check_trial(ws.candidate.as_slice(), t, trial);
+                if trial.is_some_and(|phi_candidate| phi_candidate <= phi + 1e-4 * alpha * slope) {
+                    std::mem::swap(y, &mut ws.candidate);
+                    accepted = true;
+                    break;
                 }
                 alpha *= 0.5;
             }
@@ -386,30 +484,42 @@ impl ConvexProgram {
         Ok(steps)
     }
 
-    fn strictly_feasible(&self, y: &Vector) -> bool {
+    fn strictly_feasible(&self, y: &[f64]) -> bool {
         self.constraints.iter().all(|c| c.value(y) < 0.0)
     }
 
-    fn barrier_value(&self, y: &Vector, t: f64) -> f64 {
-        let mut phi = t * self.objective.value(y);
-        for c in &self.constraints {
-            let v = c.value(y);
-            if v >= 0.0 {
-                return f64::INFINITY;
+    /// The barrier function at a line-search candidate, or `None` when a
+    /// constraint is not strictly negative there. Each constraint is
+    /// evaluated once into `values`; the logarithms are taken only after
+    /// every constraint passed.
+    fn trial_value(&self, y: &[f64], t: f64, values: &mut [f64]) -> Option<f64> {
+        for (c, value) in self.constraints.iter().zip(values.iter_mut()) {
+            *value = c.value(y);
+            if value.is_nan() || *value >= 0.0 {
+                return None;
             }
-            phi -= (-v).ln();
         }
-        phi
+        let mut phi = t * self.objective.value(y);
+        for value in values.iter() {
+            phi -= (-value).ln();
+        }
+        Some(phi)
     }
 
-    fn barrier_derivatives(&self, y: &Vector, t: f64) -> Result<(f64, Vector, Matrix), GpError> {
+    /// Writes `∇φ` and `∇²φ` of the barrier function
+    /// `φ(y) = t·F₀(y) − Σ log(−F_i(y))` into the workspace and returns
+    /// `φ(y)`. Each row is evaluated once.
+    fn barrier_derivatives(&self, y: &[f64], t: f64, ws: &mut Workspace) -> Result<f64, GpError> {
         let n = self.n;
-        let mut grad = Vector::zeros(n);
-        let mut hess = Matrix::zeros(n, n).map_err(to_numerical)?;
+        ws.grad.as_mut_slice().fill(0.0);
+        for i in 0..n {
+            for j in 0..n {
+                ws.hess.set(i, j, 0.0);
+            }
+        }
         // Objective contributes t·∇F₀ and t·∇²F₀.
-        let f0 = self
-            .objective
-            .accumulate(y, t, &mut grad, Some((&mut hess, t, 0.0)));
+        let f0 = self.objective.value(y);
+        self.objective.accumulate(y, f0, t, t, 0.0, ws);
         let mut phi = t * f0;
         for c in &self.constraints {
             let value = c.value(y);
@@ -420,10 +530,10 @@ impl ConvexProgram {
             }
             let inv = 1.0 / (-value);
             // −log(−f): gradient ∇f/(−f), Hessian ∇²f/(−f) + ∇f∇fᵀ/f².
-            c.accumulate(y, inv, &mut grad, Some((&mut hess, inv, inv * inv)));
+            c.accumulate(y, value, inv, inv, inv * inv, ws);
             phi -= (-value).ln();
         }
-        Ok((phi, grad, hess))
+        Ok(phi)
     }
 }
 
@@ -469,13 +579,9 @@ pub(crate) fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSo
     let upper_log = options.variable_upper.ln();
     for j in 0..n {
         // x_j ≤ upper  ⇔  y_j − ln(upper) ≤ 0.
-        constraints.push(LogSumExp {
-            terms: vec![(vec![(j, 1.0)], -upper_log)],
-        });
+        constraints.push(LogSumExp::new(vec![(vec![(j, 1.0)], -upper_log)]));
         // x_j ≥ lower  ⇔  −y_j + ln(lower) ≤ 0.
-        constraints.push(LogSumExp {
-            terms: vec![(vec![(j, -1.0)], lower_log)],
-        });
+        constraints.push(LogSumExp::new(vec![(vec![(j, -1.0)], lower_log)]));
     }
     let program = ConvexProgram {
         objective: LogSumExp::from_posynomial(objective),
@@ -496,57 +602,50 @@ pub(crate) fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSo
         }
         None => Vector::zeros(n),
     };
-    // Phase I: find a strictly feasible y (all F_i(y) < 0).
-    if !program.constraints.is_empty() && !program.strictly_feasible(&y) {
+    // Phase I: find a strictly feasible y (all F_i(y) < 0). The box rows
+    // make the constraint list non-empty.
+    if !program.strictly_feasible(y.as_slice()) {
         let (feasible_y, effort) = phase_one(&program, options)?;
         total_newton += effort.newton;
         barrier_iterations += effort.barrier;
         factorizations += effort.factorizations;
         y = feasible_y;
-        if !program.strictly_feasible(&y) {
+        if !program.strictly_feasible(y.as_slice()) {
             return Err(GpError::Infeasible);
         }
     }
 
-    // Phase II: barrier path following. One factorization workspace serves
-    // every Newton system of the phase; consecutive Hessians share it.
+    // Phase II: barrier path following. One workspace serves every Newton
+    // step of the phase; consecutive Hessians share its factorization.
     let m = program.constraints.len();
-    let mut kkt = KktFactorization::new(n).map_err(to_numerical)?;
+    let mut ws = program.workspace()?;
     let mut t = options.initial_barrier;
     let mut dual_warm_started = false;
-    if m == 0 {
-        // Purely unconstrained: a single centering with large t is a plain
-        // Newton minimization of the objective.
-        t = 1.0;
-        total_newton += program.center(&mut y, t, options, &mut kkt)?;
-        barrier_iterations += 1;
-    } else {
-        // Dual warm start: an accepted prior dual state places the starting
-        // barrier parameter near the previous solve's endpoint, skipping the
-        // early centering path from `initial_barrier`.
-        if warm_started {
-            if let Some(warm_t) = warm_barrier_parameter(&program, &y, m, num_explicit, options) {
-                t = warm_t;
-                dual_warm_started = true;
-            }
-        }
-        for _ in 0..options.max_outer_iterations {
-            total_newton += program.center(&mut y, t, options, &mut kkt)?;
-            barrier_iterations += 1;
-            if (m as f64) / t < options.tolerance {
-                break;
-            }
-            t *= options.barrier_growth;
+    // Dual warm start: an accepted prior dual state places the starting
+    // barrier parameter near the previous solve's endpoint, skipping the
+    // early centering path from `initial_barrier`.
+    if warm_started {
+        if let Some(warm_t) = warm_barrier_parameter(&program, &y, m, num_explicit, options) {
+            t = warm_t;
+            dual_warm_started = true;
         }
     }
-    factorizations += kkt.factorizations() + kkt.refreshes();
+    for _ in 0..options.max_outer_iterations {
+        total_newton += program.center(&mut y, t, options, &mut ws)?;
+        barrier_iterations += 1;
+        if (m as f64) / t < options.tolerance {
+            break;
+        }
+        t *= options.barrier_growth;
+    }
+    factorizations += ws.kkt.factorizations() + ws.kkt.refreshes();
 
     // Dual estimates of the explicit constraints at the final center:
     // λ_i = 1 / (t · (−F_i(y))). Strict feasibility makes every slack
     // positive; the clamp only guards the last few ulps.
     let duals: Vec<f64> = program.constraints[..num_explicit]
         .iter()
-        .map(|c| 1.0 / (t * (-c.value(&y)).max(f64::MIN_POSITIVE)))
+        .map(|c| 1.0 / (t * (-c.value(y.as_slice())).max(f64::MIN_POSITIVE)))
         .collect();
 
     let values: Vec<f64> = (0..n).map(|j| y.get(j).exp()).collect();
@@ -599,7 +698,7 @@ fn warm_barrier_parameter(
     }
     let mut surrogate_gap = 0.0;
     for (lambda, c) in dual.duals.iter().zip(&program.constraints[..num_explicit]) {
-        let slack = -c.value(y);
+        let slack = -c.value(y.as_slice());
         if slack <= 0.0 {
             return None;
         }
@@ -627,7 +726,7 @@ fn warm_start_point(program: &ConvexProgram, options: &SolverOptions, n: usize) 
         return None;
     }
     let y: Vector = point.iter().map(|&x| x.ln()).collect();
-    program.strictly_feasible(&y).then_some(y)
+    program.strictly_feasible(y.as_slice()).then_some(y)
 }
 
 /// Machine-independent effort counters of one solver phase.
@@ -653,18 +752,19 @@ fn phase_one(
     // LogSumExp over n+1 variables, where the objective is exp(s') with
     // s' = s (a single affine term) — but s can be negative, which is exactly
     // what log-space variables allow (s here is already a log-space value).
-    let mut ext_constraints = Vec::with_capacity(program.constraints.len());
-    for c in &program.constraints {
-        let mut terms = c.terms.clone();
-        for (a, _) in &mut terms {
-            a.push((n, -1.0));
-        }
-        ext_constraints.push(LogSumExp { terms });
-    }
+    let ext_constraints = program
+        .constraints
+        .iter()
+        .map(|c| {
+            let mut terms = c.terms.clone();
+            for (a, _) in &mut terms {
+                a.push((n, -1.0));
+            }
+            LogSumExp::new(terms)
+        })
+        .collect();
     let ext = ConvexProgram {
-        objective: LogSumExp {
-            terms: vec![(vec![(n, 1.0)], 0.0)],
-        },
+        objective: LogSumExp::new(vec![(vec![(n, 1.0)], 0.0)]),
         constraints: ext_constraints,
         n: n + 1,
     };
@@ -675,39 +775,40 @@ fn phase_one(
     let worst = program
         .constraints
         .iter()
-        .map(|c| c.value(&Vector::zeros(n)))
+        .map(|c| c.value(&y_ext.as_slice()[..n]))
         .fold(f64::NEG_INFINITY, f64::max);
     y_ext.set(n, worst + 1.0);
 
     let mut effort = Effort::default();
-    let mut kkt = KktFactorization::new(n + 1).map_err(to_numerical)?;
+    let mut ws = ext.workspace()?;
     let mut t = options.initial_barrier;
     for _ in 0..options.max_outer_iterations {
-        effort.newton += ext.center(&mut y_ext, t, options, &mut kkt)?;
+        effort.newton += ext.center(&mut y_ext, t, options, &mut ws)?;
         effort.barrier += 1;
-        let y_candidate: Vector = (0..n).map(|j| y_ext.get(j)).collect();
+        let y_candidate = &y_ext.as_slice()[..n];
         if program
             .constraints
             .iter()
-            .all(|c| c.value(&y_candidate) < -1e-9)
+            .all(|c| c.value(y_candidate) < -1e-9)
         {
-            effort.factorizations = kkt.factorizations() + kkt.refreshes();
-            return Ok((y_candidate, effort));
+            break;
         }
         if (ext.constraints.len() as f64) / t < options.tolerance {
             break;
         }
         t *= options.barrier_growth;
     }
-    effort.factorizations = kkt.factorizations() + kkt.refreshes();
+    effort.factorizations = ws.kkt.factorizations() + ws.kkt.refreshes();
     // Converged without reaching negative slack: infeasible.
-    let y_candidate: Vector = (0..n).map(|j| y_ext.get(j)).collect();
-    if program.strictly_feasible(&y_candidate) {
-        Ok((y_candidate, effort))
+    let y_candidate = &y_ext.as_slice()[..n];
+    if program.strictly_feasible(y_candidate) {
+        Ok((Vector::from(y_candidate), effort))
     } else {
         Err(GpError::Infeasible)
     }
 }
 
+#[cfg(test)]
+mod reference;
 #[cfg(test)]
 mod tests;

@@ -495,3 +495,105 @@ fn paper_shaped_gp(
     }
     (gp, ii, n)
 }
+
+/// The three paper cases (Alex-16 on 2 FPGAs, Alex-32 on 4, VGG on 8) in
+/// the paper-shaped GP, cold and warm-started, at both ends of each case's
+/// constraint range. Every Newton step and line-search trial is checked
+/// against the reference evaluation bit for bit (see `reference.rs`).
+#[test]
+fn paper_cases_match_the_reference_evaluation() {
+    let cases = [
+        (mfa_cnn::paper_data::alexnet_16bit(), 2.0, [0.55, 0.85]),
+        (mfa_cnn::paper_data::alexnet_32bit(), 4.0, [0.65, 0.75]),
+        (mfa_cnn::paper_data::vgg_16bit(), 8.0, [0.55, 0.80]),
+    ];
+    for (app, fpgas, budgets) in cases {
+        let kernels: Vec<KernelRow> = app
+            .kernels()
+            .iter()
+            .map(|k| {
+                let r = k.resources();
+                (k.wcet_ms(), r.bram, r.dsp, k.bandwidth())
+            })
+            .collect();
+        for budget in budgets {
+            let (gp, ii, n) = paper_shaped_gp(&kernels, fpgas, budget);
+            let cold = gp.solve().unwrap();
+            // A neighbour's warm start: 5 % above the optimum II, counts 2 %
+            // above the WCET-driven ones, as the allocation layer seeds it.
+            let ii0 = cold.value(ii) * 1.05;
+            let mut point = vec![ii0];
+            point.extend(
+                kernels
+                    .iter()
+                    .zip(&n)
+                    .map(|(k, &v)| (k.0 / ii0 * 1.02).max(cold.value(v).min(1.0) * 1.001)),
+            );
+            let warm = gp
+                .solve_with(&SolverOptions::warm_started_with_duals(
+                    point,
+                    cold.dual_state().unwrap().clone(),
+                ))
+                .unwrap();
+            assert!(
+                warm.warm_started() && warm.dual_warm_started(),
+                "{}",
+                app.name()
+            );
+            assert!(
+                close(warm.value(ii), cold.value(ii), 1e-6),
+                "{}",
+                app.name()
+            );
+        }
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig { cases: 48, ..Default::default() })]
+
+    /// Random GPs of 1–5 variables and 1–5 constraints of 1–4 terms each,
+    /// with exponents in [−2, 2] and coefficients up to 20 in the objective
+    /// and up to 1 in the constraints, feasible or not: every Newton step
+    /// and line-search trial of both phases matches the reference
+    /// evaluation bit for bit.
+    #[test]
+    fn random_gps_match_the_reference_evaluation(seed in 0..1_000_000usize) {
+        let mut state = seed as u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut gp = GpProblem::new();
+        let vars: Vec<GpVarId> = (0..1 + (next() * 5.0) as usize)
+            .map(|i| gp.add_var(format!("x{i}")).unwrap())
+            .collect();
+        let mut posynomial = |max_terms: f64, max_coeff: f64| -> Posynomial {
+            let mut p = Posynomial::new();
+            for _ in 0..1 + (next() * max_terms) as usize {
+                let mut exponents = Vec::new();
+                for &v in &vars {
+                    if next() < 0.6 {
+                        exponents.push((v, ((next() * 8.0).round() - 4.0) / 2.0));
+                    }
+                }
+                p.push(Monomial::new(max_coeff * (0.01 + 0.99 * next()), &exponents));
+            }
+            p
+        };
+        gp.set_objective(posynomial(3.0, 20.0));
+        let rows: Vec<Posynomial> = (0..1 + (seed % 5)).map(|_| posynomial(4.0, 1.0)).collect();
+        for (i, row) in rows.into_iter().enumerate() {
+            gp.add_le_constraint(format!("c{i}"), row).unwrap();
+        }
+        match gp.solve() {
+            Ok(sol) => proptest::prop_assert!(sol.objective().is_finite()),
+            Err(err) => proptest::prop_assert!(
+                matches!(err, GpError::Infeasible | GpError::Numerical(_)),
+                "{err}"
+            ),
+        }
+    }
+}
