@@ -16,6 +16,13 @@
 //! rejects on the first that is not strictly negative, before any logarithm.
 //! Every sum keeps the operand order of the plain dense evaluation, which the
 //! unit tests check bit for bit at every step (`solver/reference.rs`).
+//!
+//! A centering ends when the Newton decrement is small, when the line search
+//! accepts nothing, or when it accepts a step that leaves `y` bitwise
+//! unchanged. That last step would otherwise repeat, identically, until
+//! [`SolverOptions::max_newton_iterations`] ran out; stopping early leaves
+//! every iterate, barrier parameter and dual as it was and saves only Newton
+//! steps and factorizations.
 
 use mfa_linalg::{KktFactorization, LinalgError, Matrix, Vector};
 
@@ -475,9 +482,11 @@ impl ConvexProgram {
                 alpha *= 0.5;
             }
             steps += 1;
-            if !accepted {
-                // The step is too small to make progress; we are at numerical
-                // precision for this centering problem.
+            // Either the line search accepted nothing, or it accepted a step
+            // too small to move `y` by a single bit; then every later step
+            // would repeat this one exactly. Both mean we are at numerical
+            // precision for this centering problem.
+            if !accepted || same_bits(y.as_slice(), ws.candidate.as_slice()) {
                 break;
             }
         }
@@ -535,6 +544,11 @@ impl ConvexProgram {
         }
         Ok(phi)
     }
+}
+
+/// `true` when both slices hold the same bit patterns.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn to_numerical<E: std::fmt::Display>(err: E) -> GpError {

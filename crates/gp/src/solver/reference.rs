@@ -7,7 +7,7 @@
 
 use mfa_linalg::{Matrix, Vector};
 
-use super::{ConvexProgram, LogSumExp, Workspace};
+use super::{same_bits, ConvexProgram, LogSumExp, Workspace};
 
 fn log_sum_exp(zs: &[f64]) -> f64 {
     let max = zs.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
@@ -144,8 +144,4 @@ impl ConvexProgram {
             "trial value: {trial:?} vs {reference:?}"
         );
     }
-}
-
-fn same_bits(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }

@@ -422,7 +422,9 @@ fn an_optimum_on_the_implicit_box() {
 #[test]
 fn a_forty_kernel_paper_shaped_gp() {
     let (gp, ii, _) = paper_shaped_gp(&lcg_kernels(40, 7), 8.0, 0.7);
-    let sol = solve_pinned(&gp, 270, 12, 280, 0x4027_7301_85c5_731d);
+    // Before the stall exit: 270 Newton steps and 280 factorizations, the
+    // same barrier iterations and objective bits.
+    let sol = solve_pinned(&gp, 211, 12, 221, 0x4027_7301_85c5_731d);
     assert!(sol.value(ii) > 0.0);
 }
 
