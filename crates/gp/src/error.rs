@@ -16,9 +16,11 @@ pub enum GpError {
     MissingObjective,
     /// The phase-I search could not find a strictly feasible point.
     Infeasible,
-    /// The Newton iteration failed to converge within the iteration budget.
+    /// Phase I or phase II ran out of outer (barrier) iterations before
+    /// reaching its gap tolerance, so the solver has neither an optimum nor
+    /// a proof of infeasibility.
     DidNotConverge {
-        /// Outer barrier iterations performed.
+        /// Outer barrier iterations performed, both phases together.
         outer_iterations: usize,
     },
     /// A numerical failure (singular Newton system) occurred.

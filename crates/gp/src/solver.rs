@@ -49,6 +49,12 @@ pub struct GpDualState {
 }
 
 /// Options controlling the interior-point solver.
+///
+/// Options under which the method cannot converge are rejected with
+/// [`GpError::InvalidArgument`] before any work: a non-positive or
+/// non-finite `tolerance` or `initial_barrier`, a negative
+/// `newton_tolerance`, a `barrier_growth` not above 1, a zero iteration
+/// budget, or variable bounds outside `0 < lower < upper < ∞`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverOptions {
     /// Target duality-gap tolerance (`m / t < tolerance` stops the outer loop).
@@ -61,7 +67,9 @@ pub struct SolverOptions {
     pub initial_barrier: f64,
     /// Maximum Newton steps per centering problem.
     pub max_newton_iterations: usize,
-    /// Maximum outer (barrier) iterations.
+    /// Maximum outer (barrier) iterations per phase. A phase that runs out
+    /// of them before reaching [`tolerance`](SolverOptions::tolerance) fails
+    /// with [`GpError::DidNotConverge`].
     pub max_outer_iterations: usize,
     /// Implicit lower bound applied to every variable.
     ///
@@ -551,12 +559,57 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// Rejects options under which the barrier method cannot converge, before
+/// any work is done: without this, a barrier that never grows or a single
+/// outer iteration returned a point far from the optimum as an answer, and a
+/// zero Newton budget or barrier parameter surfaced as `Infeasible`.
+fn validate_options(options: &SolverOptions) -> Result<(), GpError> {
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    let checks = [
+        (
+            positive(options.tolerance),
+            "tolerance must be positive and finite",
+        ),
+        (
+            options.newton_tolerance.is_finite() && options.newton_tolerance >= 0.0,
+            "newton_tolerance must be non-negative and finite",
+        ),
+        (
+            options.barrier_growth.is_finite() && options.barrier_growth > 1.0,
+            "barrier_growth must be finite and greater than 1",
+        ),
+        (
+            positive(options.initial_barrier),
+            "initial_barrier must be positive and finite",
+        ),
+        (
+            options.max_newton_iterations > 0,
+            "max_newton_iterations must be at least 1",
+        ),
+        (
+            options.max_outer_iterations > 0,
+            "max_outer_iterations must be at least 1",
+        ),
+        (
+            positive(options.variable_lower)
+                && options.variable_upper.is_finite()
+                && options.variable_upper > options.variable_lower,
+            "solver variable bounds must satisfy 0 < lower < upper < ∞",
+        ),
+    ];
+    match checks.iter().find(|(ok, _)| !ok) {
+        Some((_, message)) => Err(GpError::InvalidArgument((*message).into())),
+        None => Ok(()),
+    }
+}
+
 fn to_numerical<E: std::fmt::Display>(err: E) -> GpError {
     GpError::Numerical(err.to_string())
 }
 
 /// Solves a validated [`GpProblem`]; entry point used by [`GpProblem::solve_with`].
 pub(crate) fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSolution, GpError> {
+    validate_options(options)?;
     let n = problem.num_vars();
     let objective = problem
         .objective
@@ -576,12 +629,6 @@ pub(crate) fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSo
         });
     }
     let num_explicit = problem.constraints.len();
-
-    if !(options.variable_lower > 0.0 && options.variable_upper > options.variable_lower) {
-        return Err(GpError::InvalidArgument(
-            "solver variable bounds must satisfy 0 < lower < upper".into(),
-        ));
-    }
     let mut constraints: Vec<LogSumExp> = problem
         .constraints
         .iter()
@@ -644,13 +691,20 @@ pub(crate) fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSo
             dual_warm_started = true;
         }
     }
+    let mut converged = false;
     for _ in 0..options.max_outer_iterations {
         total_newton += program.center(&mut y, t, options, &mut ws)?;
         barrier_iterations += 1;
         if (m as f64) / t < options.tolerance {
+            converged = true;
             break;
         }
         t *= options.barrier_growth;
+    }
+    if !converged {
+        return Err(GpError::DidNotConverge {
+            outer_iterations: barrier_iterations,
+        });
     }
     factorizations += ws.kkt.factorizations() + ws.kkt.refreshes();
 
@@ -796,6 +850,7 @@ fn phase_one(
     let mut effort = Effort::default();
     let mut ws = ext.workspace()?;
     let mut t = options.initial_barrier;
+    let mut converged = false;
     for _ in 0..options.max_outer_iterations {
         effort.newton += ext.center(&mut y_ext, t, options, &mut ws)?;
         effort.barrier += 1;
@@ -808,17 +863,23 @@ fn phase_one(
             break;
         }
         if (ext.constraints.len() as f64) / t < options.tolerance {
+            converged = true;
             break;
         }
         t *= options.barrier_growth;
     }
     effort.factorizations = ws.kkt.factorizations() + ws.kkt.refreshes();
-    // Converged without reaching negative slack: infeasible.
     let y_candidate = &y_ext.as_slice()[..n];
     if program.strictly_feasible(y_candidate) {
         Ok((Vector::from(y_candidate), effort))
-    } else {
+    } else if converged {
+        // Converged without reaching negative slack: infeasible.
         Err(GpError::Infeasible)
+    } else {
+        // Out of outer iterations short of the gap tolerance: no verdict.
+        Err(GpError::DidNotConverge {
+            outer_iterations: effort.barrier,
+        })
     }
 }
 

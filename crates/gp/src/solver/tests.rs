@@ -599,3 +599,95 @@ proptest::proptest! {
         }
     }
 }
+
+/// Options under which the barrier cannot converge are errors up front. On
+/// the budget GP (optimum 2.1), `barrier_growth: 1.0` used to answer
+/// II = 38.3, and a zero Newton budget or barrier parameter was reported as
+/// `Infeasible`.
+#[test]
+fn options_that_cannot_converge_are_rejected() {
+    let (gp, _) = budget_problem();
+    let base = SolverOptions::default;
+    for bad in [
+        SolverOptions {
+            barrier_growth: 1.0,
+            ..base()
+        },
+        SolverOptions {
+            barrier_growth: f64::INFINITY,
+            ..base()
+        },
+        SolverOptions {
+            max_newton_iterations: 0,
+            ..base()
+        },
+        SolverOptions {
+            max_outer_iterations: 0,
+            ..base()
+        },
+        SolverOptions {
+            initial_barrier: 0.0,
+            ..base()
+        },
+        SolverOptions {
+            tolerance: 0.0,
+            ..base()
+        },
+        SolverOptions {
+            tolerance: f64::NAN,
+            ..base()
+        },
+        SolverOptions {
+            newton_tolerance: -1.0,
+            ..base()
+        },
+        SolverOptions {
+            variable_upper: f64::INFINITY,
+            ..base()
+        },
+        SolverOptions {
+            variable_lower: 0.0,
+            ..base()
+        },
+    ] {
+        let result = gp.solve_with(&bad);
+        assert!(
+            matches!(result, Err(GpError::InvalidArgument(_))),
+            "{bad:?} gave {result:?}"
+        );
+    }
+}
+
+/// A phase that runs out of outer iterations short of its gap tolerance
+/// has no answer. Phase II with one outer iteration used to return
+/// II = 38.3 on the budget GP; phase I with one used to call the problem
+/// infeasible whether or not it was.
+#[test]
+fn running_out_of_outer_iterations_is_not_an_answer() {
+    let one = SolverOptions {
+        max_outer_iterations: 1,
+        ..SolverOptions::default()
+    };
+    let (gp, _) = budget_problem();
+    assert!(matches!(
+        gp.solve_with(&one),
+        Err(GpError::DidNotConverge {
+            outer_iterations: 2
+        })
+    ));
+    // x ≤ 1 and x ≥ 2: infeasible, but one outer iteration proves nothing.
+    let mut gp = GpProblem::new();
+    let x = gp.add_var("x").unwrap();
+    gp.set_objective(Posynomial::monomial(1.0, &[(x, 1.0)]));
+    gp.add_le_constraint("x ≤ 1", Posynomial::monomial(1.0, &[(x, 1.0)]))
+        .unwrap();
+    gp.add_le_constraint("x ≥ 2", Posynomial::monomial(2.0, &[(x, -1.0)]))
+        .unwrap();
+    assert!(matches!(
+        gp.solve_with(&one),
+        Err(GpError::DidNotConverge {
+            outer_iterations: 1
+        })
+    ));
+    assert_eq!(gp.solve().unwrap_err(), GpError::Infeasible);
+}
