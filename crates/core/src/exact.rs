@@ -580,6 +580,39 @@ mod tests {
         report.allocation.validate(&problem, 1e-9).unwrap();
     }
 
+    /// A node LP that runs out of simplex pivots leaves its node open; it
+    /// does not abort the search. MINLP+G on Alex-32 at 0.65 meets such an
+    /// LP within 40 nodes, which used to fail the whole solve with
+    /// `Minlp(Lp(PivotBudgetExceeded { pivots: 50000 }))`.
+    #[test]
+    fn a_node_lp_out_of_pivots_leaves_the_search_unproven() {
+        let p = crate::cases::PaperCase::Alex32OnFourFpgas
+            .problem(0.65)
+            .unwrap();
+        let options = ExactOptions {
+            mode: ExactMode::IiAndSpreading,
+            solver: SolverOptions {
+                max_nodes: 40,
+                time_limit_seconds: None,
+                ..SolverOptions::default()
+            },
+            symmetry_breaking: true,
+        };
+        match solve(&p, &options) {
+            Ok(report) => {
+                assert_eq!(report.diagnostics.proven_optimal, Some(false));
+                report.allocation.validate(&p, 1e-9).unwrap();
+            }
+            Err(err) => assert!(
+                matches!(
+                    err,
+                    AllocError::Minlp(mfa_minlp::MinlpError::NodeLimitWithoutSolution { .. })
+                ),
+                "{err}"
+            ),
+        }
+    }
+
     #[test]
     fn minlp_with_spreading_consolidates() {
         let p = toy_problem();

@@ -13,6 +13,15 @@
 //!   problem convex) and runs a log-barrier Newton interior-point method,
 //!   using [`mfa_linalg`] for the Newton systems.
 //!
+//! Each Newton step evaluates every constraint once, into a workspace
+//! allocated once per solver phase. A single-monomial constraint (in the
+//! allocation GP: every latency, bound and implicit box row) is affine in
+//! log-space and costs no `exp` or `ln`. A centering ends as soon as an
+//! accepted step leaves the iterate bitwise unchanged, because every later
+//! step would repeat it exactly. [`SolverOptions`] under which the method
+//! cannot converge are rejected up front, and a phase that runs out of
+//! outer iterations reports [`GpError::DidNotConverge`].
+//!
 //! # Example
 //!
 //! ```

@@ -377,8 +377,8 @@ struct RowScratch {
     row_grad: Vec<f64>,
 }
 
-/// Everything one phase's Newton steps write, allocated once per phase:
-/// no step, row or line-search trial allocates.
+/// Everything one phase's Newton steps write, allocated once per phase so
+/// that no row evaluation and no line-search trial allocates.
 struct Workspace {
     kkt: KktFactorization,
     /// `∇φ` and its negation, the Newton right-hand side.

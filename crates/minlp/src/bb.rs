@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use mfa_linprog::SolverStatus;
+use mfa_linprog::{LpError, LpProblem, LpSolution, SolverStatus};
 
 use crate::model::{MinlpProblem, Relation};
 use crate::relax::{self, CutPool};
@@ -97,12 +97,28 @@ struct SearchState {
     nodes_explored: usize,
     lp_solves: usize,
     simplex_pivots: usize,
+    /// Smallest lower bound of a node left open because one of its LPs ran
+    /// out of pivots.
+    unresolved_bound: Option<f64>,
+}
+
+impl SearchState {
+    /// Leaves a node with lower bound `bound` open: the search goes on, but
+    /// can no longer prove optimality below `bound`.
+    fn leave_open(&mut self, bound: f64) {
+        self.unresolved_bound = Some(self.unresolved_bound.map_or(bound, |b| b.min(bound)));
+    }
 }
 
 /// Result of processing one node's LP (with cut rounds).
 enum NodeLp {
     Infeasible,
-    Solved { bound: f64, values: Vec<f64> },
+    /// An LP ran out of pivots before the node was resolved.
+    OutOfPivots,
+    Solved {
+        bound: f64,
+        values: Vec<f64>,
+    },
 }
 
 /// Solves the problem; entry point used by [`MinlpProblem::solve_with`].
@@ -140,6 +156,7 @@ pub(crate) fn solve(
         nodes_explored: 0,
         lp_solves: 0,
         simplex_pivots: 0,
+        unresolved_bound: None,
     };
     // Warm start: a feasible (after integer rounding) seed becomes the
     // incumbent before the first node, so bound pruning is active from node
@@ -183,6 +200,10 @@ pub(crate) fn solve(
         let lp_outcome = solve_node_lp(problem, &node.bounds, options, &mut state)?;
         let (bound, values) = match lp_outcome {
             NodeLp::Infeasible => continue,
+            NodeLp::OutOfPivots => {
+                state.leave_open(node.lower_bound);
+                continue;
+            }
             NodeLp::Solved { bound, values } => (bound, values),
         };
         if bound >= state.incumbent_objective - gap_threshold(&state, options) {
@@ -197,14 +218,7 @@ pub(crate) fn solve(
         // solves always have something to report.
         if fractional.is_some() && (state.incumbent.is_none() || node.depth % 8 == 0) {
             let rounded = round_integers(problem, &values);
-            if let Some((candidate_values, candidate_objective)) =
-                repair_candidate(problem, &rounded, options, &mut state)?
-            {
-                if candidate_objective < state.incumbent_objective - 1e-12 {
-                    state.incumbent_objective = candidate_objective;
-                    state.incumbent = Some(candidate_values);
-                }
-            }
+            improve_incumbent(problem, &rounded, bound, options, &mut state)?;
         }
 
         if let Some((var_idx, value)) = fractional {
@@ -229,13 +243,7 @@ pub(crate) fn solve(
         // incumbent by re-solving with the integers fixed (which makes every
         // estimator of an integer-argument term exact).
         let rounded = round_integers(problem, &values);
-        let candidate = repair_candidate(problem, &rounded, options, &mut state)?;
-        if let Some((candidate_values, candidate_objective)) = candidate {
-            if candidate_objective < state.incumbent_objective - 1e-12 {
-                state.incumbent_objective = candidate_objective;
-                state.incumbent = Some(candidate_values);
-            }
-        }
+        improve_incumbent(problem, &rounded, bound, options, &mut state)?;
         // Even after an incumbent update the node's relaxation may still be
         // below the true value of any integer point in the node (concave
         // estimator gap); branch spatially on a variable of a violated
@@ -265,18 +273,20 @@ pub(crate) fn solve(
         // node's resolution (the bound stays as a valid global lower bound).
     }
 
+    // A search stopped by a limit proves nothing: the dropped node and every
+    // queued one are open, and their parents' bounds are valid lower bounds
+    // for them. So is a node whose LP ran out of pivots.
+    let mut open_bound = state.unresolved_bound;
+    if let Some(dropped) = dropped_bound {
+        let queued = heap.iter().fold(dropped, |bound, OrderedNode(node)| {
+            bound.min(node.lower_bound)
+        });
+        open_bound = Some(open_bound.map_or(queued, |b| b.min(queued)));
+    }
     match state.incumbent {
         Some(values) => {
-            // A search stopped by a limit proves nothing: the dropped node
-            // and every queued one are open, and their parents' bounds are
-            // valid lower bounds for them.
-            let (status, best_bound) = match dropped_bound {
-                Some(dropped) => {
-                    let open = heap.iter().fold(dropped, |bound, OrderedNode(node)| {
-                        bound.min(node.lower_bound)
-                    });
-                    (MinlpStatus::Feasible, open.min(state.incumbent_objective))
-                }
+            let (status, best_bound) = match open_bound {
+                Some(open) => (MinlpStatus::Feasible, open.min(state.incumbent_objective)),
                 None => (MinlpStatus::Optimal, state.incumbent_objective),
             };
             let solution = MinlpSolution::new(
@@ -294,7 +304,7 @@ pub(crate) fn solve(
                 solution
             })
         }
-        None if dropped_bound.is_some() => Err(MinlpError::NodeLimitWithoutSolution {
+        None if open_bound.is_some() => Err(MinlpError::NodeLimitWithoutSolution {
             nodes: state.nodes_explored,
         }),
         None => Ok(MinlpSolution::new(
@@ -326,9 +336,9 @@ fn solve_node_lp(
     let mut last: Option<(f64, Vec<f64>)> = None;
     for round in 0..options.cut_rounds.max(1) {
         let relaxation = relax::build(problem, bounds, &cuts)?;
-        let lp_solution = relaxation.lp.solve()?;
-        state.lp_solves += 1;
-        state.simplex_pivots += lp_solution.pivots();
+        let Some(lp_solution) = solve_lp(&relaxation.lp, state)? else {
+            return Ok(NodeLp::OutOfPivots);
+        };
         match lp_solution.status() {
             SolverStatus::Infeasible => return Ok(NodeLp::Infeasible),
             SolverStatus::Unbounded => {
@@ -412,12 +422,51 @@ fn round_integers(problem: &MinlpProblem, values: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+/// Solves one LP of the search and counts its pivots. `None` when the
+/// simplex ran out of pivots: the caller leaves its node open rather than
+/// abort the search.
+fn solve_lp(lp: &LpProblem, state: &mut SearchState) -> Result<Option<LpSolution>, MinlpError> {
+    state.lp_solves += 1;
+    match lp.solve() {
+        Ok(solution) => {
+            state.simplex_pivots += solution.pivots();
+            Ok(Some(solution))
+        }
+        Err(LpError::PivotBudgetExceeded { pivots }) => {
+            state.simplex_pivots += pivots;
+            Ok(None)
+        }
+        Err(err) => Err(err.into()),
+    }
+}
+
+/// Repairs `rounded` (see [`repair_candidate`]) and makes the result the
+/// incumbent if it is better. `bound` is the LP bound of the node the point
+/// came from, left open if a repair LP runs out of pivots.
+fn improve_incumbent(
+    problem: &MinlpProblem,
+    rounded: &[f64],
+    bound: f64,
+    options: &SolverOptions,
+    state: &mut SearchState,
+) -> Result<(), MinlpError> {
+    if let Some((values, objective)) = repair_candidate(problem, rounded, bound, options, state)? {
+        if objective < state.incumbent_objective - 1e-12 {
+            state.incumbent_objective = objective;
+            state.incumbent = Some(values);
+        }
+    }
+    Ok(())
+}
+
 /// Re-solves the relaxation with every integer variable fixed to its rounded
 /// value. Because all estimators are exact on collapsed intervals, the result
-/// (if feasible) is a true feasible point of the MINLP.
+/// (if feasible) is a true feasible point of the MINLP. A repair LP that runs
+/// out of pivots leaves the node (LP bound `bound`) open and yields `None`.
 fn repair_candidate(
     problem: &MinlpProblem,
     rounded: &[f64],
+    bound: f64,
     options: &SolverOptions,
     state: &mut SearchState,
 ) -> Result<Option<(Vec<f64>, f64)>, MinlpError> {
@@ -439,9 +488,10 @@ fn repair_candidate(
     let mut best: Option<(Vec<f64>, f64)> = None;
     for _ in 0..options.cut_rounds.max(1) {
         let relaxation = relax::build(problem, &fixed_bounds, &cuts)?;
-        let lp_solution = relaxation.lp.solve()?;
-        state.lp_solves += 1;
-        state.simplex_pivots += lp_solution.pivots();
+        let Some(lp_solution) = solve_lp(&relaxation.lp, state)? else {
+            state.leave_open(bound);
+            return Ok(None);
+        };
         if lp_solution.status() != SolverStatus::Optimal {
             return Ok(None);
         }

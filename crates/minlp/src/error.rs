@@ -17,12 +17,14 @@ pub enum MinlpError {
     /// (for example a [`Reciprocal`](crate::Term::Reciprocal) over a variable
     /// whose lower bound is not strictly positive).
     DomainViolation(String),
-    /// The node limit was reached before any feasible solution was found.
+    /// The search ended with open nodes (a node or time limit, or a node
+    /// LP out of simplex pivots) before any feasible solution was found.
     NodeLimitWithoutSolution {
         /// Number of nodes explored.
         nodes: usize,
     },
-    /// The underlying LP solver failed.
+    /// The underlying LP solver failed. An LP that runs out of pivots is
+    /// not an error: it leaves its node open.
     Lp(LpError),
 }
 

@@ -8,8 +8,9 @@ pub enum MinlpStatus {
     /// The incumbent is optimal within the configured gap tolerances.
     Optimal,
     /// A feasible incumbent was found but the search stopped early (node or
-    /// time limit); the reported [`gap`](crate::MinlpSolution::gap) bounds its
-    /// distance from the optimum.
+    /// time limit) or left a node open because one of its LPs ran out of
+    /// simplex pivots; the reported [`gap`](crate::MinlpSolution::gap) bounds
+    /// its distance from the optimum.
     Feasible,
     /// The problem has no feasible point.
     Infeasible,
@@ -86,7 +87,8 @@ impl MinlpSolution {
     }
 
     /// Best proven lower bound on the optimal objective: `−∞` when a limit
-    /// stopped the search before its root node was solved.
+    /// stopped the search, or the root LP ran out of pivots, before the root
+    /// node was solved.
     pub fn best_bound(&self) -> f64 {
         self.best_bound
     }
