@@ -325,7 +325,8 @@ impl LogSumExp {
             }
             return;
         }
-        let RowScratch { weights, row_grad } = &mut ws.row;
+        let weights = &mut ws.weights;
+        let row_grad = &mut ws.row_grad;
         // Softmax weights, then ∇F = Σ w_t a_t.
         weights.clear();
         weights.extend(
@@ -369,14 +370,6 @@ impl LogSumExp {
     }
 }
 
-/// Scratch space of one non-affine row's derivatives.
-struct RowScratch {
-    /// Softmax weights `exp(z_t − F(y))`, one per term.
-    weights: Vec<f64>,
-    /// `∇F`, dense; zero outside an `accumulate` call.
-    row_grad: Vec<f64>,
-}
-
 /// Everything one phase's Newton steps write, allocated once per phase so
 /// that no row evaluation and no line-search trial allocates.
 struct Workspace {
@@ -386,7 +379,10 @@ struct Workspace {
     neg_grad: Vector,
     /// `∇²φ`.
     hess: Matrix,
-    row: RowScratch,
+    /// Softmax weights `exp(z_t − F(y))` of the row being differentiated.
+    weights: Vec<f64>,
+    /// That row's `∇F`, dense; zero outside an `accumulate` call.
+    row_grad: Vec<f64>,
     /// The line-search candidate and its constraint values.
     candidate: Vector,
     values: Vec<f64>,
@@ -413,10 +409,8 @@ impl ConvexProgram {
             grad: Vector::zeros(n),
             neg_grad: Vector::zeros(n),
             hess: Matrix::zeros(n, n).map_err(to_numerical)?,
-            row: RowScratch {
-                weights: Vec::with_capacity(max_terms),
-                row_grad: vec![0.0; n],
-            },
+            weights: Vec::with_capacity(max_terms),
+            row_grad: vec![0.0; n],
             candidate: Vector::zeros(n),
             values: vec![0.0; self.constraints.len()],
         })
@@ -560,9 +554,9 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
 }
 
 /// Rejects options under which the barrier method cannot converge, before
-/// any work is done: without this, a barrier that never grows or a single
-/// outer iteration returned a point far from the optimum as an answer, and a
-/// zero Newton budget or barrier parameter surfaced as `Infeasible`.
+/// any work is done. A barrier parameter that never grows never reaches the
+/// gap tolerance, and a zero Newton budget or barrier parameter stalls
+/// phase I, which would then read as `Infeasible`.
 fn validate_options(options: &SolverOptions) -> Result<(), GpError> {
     let positive = |x: f64| x.is_finite() && x > 0.0;
     let checks = [
