@@ -13,8 +13,8 @@
 //! * BRAM use from the tile/line buffers and weight buffers,
 //! * DRAM bandwidth from bytes moved per unit of execution time.
 //!
-//! The estimator is used by the end-to-end examples and by the
-//! characterization benchmark to show the full flow; the reproduced
+//! The estimator is used by the end-to-end examples and by the tables
+//! report of `mfa_explore::figures` to show the full flow; the reproduced
 //! experiments themselves use the paper's measured tables
 //! ([`crate::paper_data`]) so that the optimization inputs are identical to
 //! the original study.

@@ -9,7 +9,7 @@
 //! bandwidth (paper Tables 2 and 3).
 //!
 //! We cannot run Xilinx SDAccel on AWS F1 here, so this crate substitutes
-//! that flow with three pieces (see `DESIGN.md`):
+//! that flow with three pieces (see the workspace README):
 //!
 //! * [`network`] — layer-accurate descriptions of AlexNet and VGG16,
 //! * [`characterize`] — an analytic HLS cost/latency estimator that turns a

@@ -7,7 +7,7 @@
 //! `ÎI` is no better than the best integer solution found so far. Node
 //! relaxations reuse the bounded relaxation in [`crate::gp_step`]; the fast
 //! bisection backend is the default engine (the GP backend gives identical
-//! results and is exercised in tests and by the ablation bench).
+//! results and is exercised in tests).
 
 use crate::gp_step::{self, RelaxationBackend};
 use crate::problem::AllocationProblem;

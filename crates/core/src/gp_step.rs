@@ -1245,6 +1245,29 @@ mod tests {
         );
     }
 
+    /// On the paper's three cases the two backends reach the same relaxed II
+    /// (measured: at most 1.3e-9 relative over 0.55–0.85), so GP+A may use
+    /// either.
+    #[test]
+    fn backends_agree_on_the_paper_cases() {
+        for case in crate::cases::PaperCase::all() {
+            for constraint in [0.55, 0.70, 0.85] {
+                let p = case.problem(constraint).unwrap();
+                let gp = solve(&p, RelaxationBackend::GeometricProgram).unwrap();
+                let bis = solve(&p, RelaxationBackend::Bisection).unwrap();
+                let relative = (gp.initiation_interval_ms - bis.initiation_interval_ms).abs()
+                    / bis.initiation_interval_ms;
+                assert!(
+                    relative < 1e-6,
+                    "{} at {constraint}: GP {} vs bisection {}",
+                    case.label(),
+                    gp.initiation_interval_ms,
+                    bis.initiation_interval_ms
+                );
+            }
+        }
+    }
+
     proptest! {
         /// On random two-kernel problems the two backends agree.
         #[test]

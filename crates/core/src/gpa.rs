@@ -51,7 +51,7 @@ impl GpaOptions {
     }
 
     /// Fast configuration using the bisection backend everywhere (used inside
-    /// large design-space sweeps and by the ablation bench).
+    /// large design-space sweeps).
     pub fn fast() -> Self {
         GpaOptions {
             relaxation_backend: RelaxationBackend::Bisection,

@@ -17,8 +17,7 @@ pub enum ExploreError {
     ///
     /// Skippable conditions (infeasible constraints, unplaceable
     /// discretizations, budget-exhausted MINLP solves without an incumbent)
-    /// never surface here — those points are simply absent from the series,
-    /// exactly as in the single-threaded sweeps.
+    /// never surface here — those points are simply absent from the series.
     Solver {
         /// Label of the case being swept.
         case: String,

@@ -484,9 +484,9 @@ impl SweepGridBuilder {
     }
 }
 
-/// `count` evenly spaced constraint values between `lo` and `hi` inclusive —
-/// the [`mfa_alloc::explore::constraint_grid`] shape, but degenerate inputs
-/// surface as [`ExploreError::InvalidGrid`] instead of a panic.
+/// `count` evenly spaced constraint values between `lo` and `hi` inclusive;
+/// degenerate inputs surface as [`ExploreError::InvalidGrid`], never as a
+/// panic.
 ///
 /// # Errors
 ///
@@ -647,10 +647,12 @@ mod tests {
     }
 
     #[test]
-    fn constraint_grid_matches_the_core_shape() {
-        let ours = constraint_grid(0.5, 0.9, 5).unwrap();
-        let core = mfa_alloc::explore::constraint_grid(0.5, 0.9, 5);
-        assert_eq!(ours, core);
+    fn constraint_grid_is_inclusive_and_even() {
+        let grid = constraint_grid(0.5, 0.9, 5).unwrap();
+        assert_eq!(grid.len(), 5);
+        for (value, expected) in grid.iter().zip([0.5, 0.6, 0.7, 0.8, 0.9]) {
+            assert!((value - expected).abs() < 1e-12, "{value} vs {expected}");
+        }
     }
 
     #[test]

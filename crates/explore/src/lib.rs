@@ -24,8 +24,11 @@
 //!   with an incumbent. Warm starts are verified before use and always reach
 //!   the same initiation interval as a cold solve; when several integer
 //!   designs tie on II, the warm-started search may return the neighbour's
-//!   design (disable [`ExecutorOptions::warm_start`] for bit-identical
-//!   agreement with the cold serial sweeps).
+//!   design (disable [`ExecutorOptions::warm_start`] to solve every point
+//!   cold).
+//! * [`figures`] — the paper's figure grids (Figs. 2–5) as presets, and
+//!   its tables (Tables 2–4, Fig. 6, the ablation) as one text report,
+//!   [`figures::paper_tables`].
 //! * [`export`] — JSON and CSV serialization of swept series for plotting.
 //! * [`validate`] — cross-checks a sample of swept designs against the
 //!   [`mfa_sim`] discrete-event simulator.
@@ -33,11 +36,8 @@
 //!   threaded accept loop shared by the workspace's daemons, with the
 //!   protocol version every handshake carries.
 //!
-//! The single-threaded sweep functions in [`mfa_alloc::explore`] remain the
-//! stable minimal API; both they and this engine drive one
-//! [`mfa_alloc::solver::SolveRequest`] per point — same backends, same
-//! [`mfa_alloc::solver::SkipPolicy`] — so both produce identical series for
-//! identical inputs. The grid carries the request riders: a
+//! Every point is one [`mfa_alloc::solver::SolveRequest`] under the grid's
+//! [`mfa_alloc::solver::SkipPolicy`]. The grid carries the request riders: a
 //! [`SweepGridBuilder::skip_policy`] (strict sweeps treat unplaceable points
 //! and missed deadlines as errors) and a
 //! [`SweepGridBuilder::point_deadline_seconds`] wall-clock cap per point.
@@ -83,7 +83,8 @@ pub use cache::{budget_distance, WarmStartCache, DEFAULT_CACHE_CAPACITY};
 pub use error::ExploreError;
 pub use executor::{
     assemble_series, compute_unit, compute_unit_hinted, plan_units, run_sweep, run_sweep_stored,
-    zero_chunk_diagnostics, zero_timing, ExecutorOptions, SweepSeries, UnitOutput, WorkUnit,
+    zero_chunk_diagnostics, zero_timing, ExecutorOptions, SweepPoint, SweepSeries, UnitOutput,
+    WorkUnit,
 };
 pub use figures::FigureSpec;
 pub use frontier::{frontier_to_csv, frontier_to_json, run_frontier, FrontierPoint, FrontierSpec};
@@ -93,6 +94,3 @@ pub use grid::{
 pub use store::{
     GcReport, ResultStore, StoreEntry, StoreRunReport, StoreStats, SweepStore, STORE_VERSION,
 };
-
-// The point type is shared with the serial sweeps in `mfa_alloc::explore`.
-pub use mfa_alloc::explore::SweepPoint;

@@ -51,12 +51,11 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use mfa_alloc::explore::SweepPoint;
 use mfa_alloc::fingerprint::Fingerprint;
 use mfa_alloc::solver::WarmStart;
 use mfa_platform::ResourceBudget;
 
-use crate::executor::{UnitOutput, WorkUnit};
+use crate::executor::{SweepPoint, UnitOutput, WorkUnit};
 use crate::grid::SweepGrid;
 use crate::json::Json;
 use crate::wire::{self, WireError};

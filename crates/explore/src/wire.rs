@@ -26,7 +26,6 @@ use std::fmt;
 
 use mfa_alloc::discretize::DiscretizeOptions;
 use mfa_alloc::exact::{ExactMode, ExactOptions};
-use mfa_alloc::explore::SweepPoint;
 use mfa_alloc::gp_step::RelaxationBackend;
 use mfa_alloc::gpa::GpaOptions;
 use mfa_alloc::greedy::GreedyOptions;
@@ -35,7 +34,7 @@ use mfa_alloc::{AllocationProblem, GoalWeights, Kernel};
 use mfa_minlp::SolverOptions;
 use mfa_platform::{DeviceGroup, FpgaDevice, HeterogeneousPlatform, ResourceBudget, ResourceVec};
 
-use crate::executor::WorkUnit;
+use crate::executor::{SweepPoint, WorkUnit};
 use crate::grid::{BudgetSpec, CaseSpec, PlatformSpec, SolverSpec, SweepGrid};
 use crate::json::Json;
 

@@ -3,7 +3,6 @@
 
 use mfa_alloc::cases::PaperCase;
 use mfa_alloc::exact::{ExactMode, ExactOptions};
-use mfa_alloc::explore::{constraint_grid, sweep_gpa};
 use mfa_alloc::gp_step::{self, RelaxationBackend};
 use mfa_alloc::gpa::GpaOptions;
 use mfa_alloc::report::utilization_breakdown;
@@ -11,6 +10,7 @@ use mfa_alloc::solver::{Backend, SolveRequest};
 use mfa_alloc::{AllocationProblem, GoalWeights};
 use mfa_cnn::characterize::{characterize_network, CuConfig};
 use mfa_cnn::{CnnNetwork, Precision};
+use mfa_explore::{constraint_grid, run_sweep, CaseSpec, ExecutorOptions, SolverSpec, SweepGrid};
 use mfa_minlp::SolverOptions;
 use mfa_platform::FpgaDevice;
 use mfa_sim::{simulate, SimConfig};
@@ -137,11 +137,18 @@ fn simulation_confirms_predicted_initiation_interval() {
 /// paper's Figs. 3–5.
 #[test]
 fn sweep_is_bounded_by_the_relaxation() {
-    let problem = PaperCase::VggOnEightFpgas.problem(0.61).expect("builds");
-    let constraints = constraint_grid(0.55, 0.80, 6);
-    let points = sweep_gpa(&problem, &constraints, &GpaOptions::fast()).expect("sweep runs");
+    let grid = SweepGrid::builder()
+        .case(CaseSpec::from_paper(PaperCase::VggOnEightFpgas))
+        .fpga_counts([8])
+        .constraints(constraint_grid(0.55, 0.80, 6).expect("valid axis"))
+        .backend(SolverSpec::gpa(GpaOptions::fast()))
+        .build()
+        .expect("well-formed grid");
+    let series = run_sweep(&grid, &ExecutorOptions::serial()).expect("sweep runs");
+    let points = &series[0].points;
     assert!(points.len() >= 4);
-    for point in &points {
+    let problem = PaperCase::VggOnEightFpgas.problem(0.61).expect("builds");
+    for point in points {
         let instance = problem.with_resource_constraint(point.resource_constraint);
         let relaxation =
             gp_step::solve(&instance, RelaxationBackend::Bisection).expect("relaxation solves");

@@ -1,4 +1,4 @@
-//! Golden-file regression tests for the figure sweeps.
+//! Golden-file regression tests for the figure sweeps and the tables report.
 //!
 //! Two snapshot sets live under `tests/golden/`, both produced by the `dse`
 //! example with `--zero-timing` (wall-clock is the only legitimate
@@ -12,6 +12,11 @@
 //!   exact solves are affordable. Here we only verify the snapshots are
 //!   present and well-formed, so a stale or hand-edited golden still fails
 //!   fast in debug.
+//!
+//! Each set also holds `tables.txt`, the text report of Tables 2–4, Fig. 6
+//! and the ablation (`figures::paper_tables`); it has no timing, and both
+//! are byte-compared here in debug, the `quick` one with its node-capped
+//! exact rows.
 //!
 //! Regenerate either set after an intentional output change:
 //!
@@ -118,6 +123,17 @@ fn small_chunk_threaded_runs_match_the_default_decomposition() {
             strip(reference),
             "chunk-1 threaded run of {} diverged from the default decomposition",
             figure.name
+        );
+    }
+}
+
+#[test]
+fn paper_tables_match_the_committed_goldens() {
+    for (prefix, exact) in [("quick", true), ("gp", false)] {
+        assert_eq!(
+            figures::paper_tables(true, exact).unwrap(),
+            golden(prefix, "tables", "txt"),
+            "the tables report diverged from {prefix}-tables.txt"
         );
     }
 }

@@ -1,5 +1,6 @@
 //! `dse` — reproduce all of the paper's figure data (Figs. 2–5) in one run
-//! of the parallel design-space exploration engine, optionally exporting
+//! of the parallel design-space exploration engine, plus the text report of
+//! its tables (Tables 2–4, Fig. 6 and the ablation), optionally exporting
 //! each figure's series as JSON + CSV and cross-validating a sample of the
 //! swept designs through the `mfa_sim` discrete-event simulator.
 //!
@@ -13,7 +14,8 @@
 //!                    (build them first: cargo build --release -p mfa_dispatch)
 //!   --connect ADDR   use a TCP worker at ADDR (host:port started with
 //!                    `sweep-worker --listen`; repeatable, overrides --workers)
-//!   --out PREFIX     write PREFIX-fig{2,3,4,5}.{json,csv}
+//!   --out PREFIX     write PREFIX-{fig2,fig3,fig4,fig5,hetero}.{json,csv}
+//!                    and PREFIX-tables.txt
 //!   --zero-timing    zero the solve_seconds column before exporting (for
 //!                    byte-comparable golden snapshots)
 //!   --no-exact       skip the MINLP/MINLP+G series (GP+A only)
@@ -31,8 +33,9 @@
 //!                    persist nothing)
 //! ```
 //!
-//! The figure grids themselves live in `mfa_explore::figures`, shared with
-//! the golden-file regression tests and the dispatcher's determinism tests.
+//! The figure grids and the tables report live in `mfa_explore::figures`,
+//! shared with the golden-file regression tests and the dispatcher's
+//! determinism tests. The report is computed in-process whatever the engine.
 
 use std::time::Instant;
 
@@ -309,6 +312,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     report_store(hetero_figure.name, hetero_report, &mut store_total);
     export_figure(&args, hetero_figure.name, &hetero)?;
+
+    // ---- Tables 2–4, Fig. 6 and the ablation as one text report.
+    let tables = figures::paper_tables(args.quick, args.exact)?;
+    println!();
+    print!("{tables}");
+    if let Some(prefix) = &args.out {
+        let path = format!("{prefix}-tables.txt");
+        std::fs::write(&path, &tables)?;
+        println!("    wrote {path}");
+    }
 
     if args.store.is_some() {
         println!();
