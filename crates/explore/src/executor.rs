@@ -787,6 +787,31 @@ mod tests {
     }
 
     #[test]
+    fn gpa_sweep_is_monotone_in_the_constraint() {
+        let grid = alex16_grid(4, vec![SolverSpec::gpa(GpaOptions::fast())]);
+        let cold = ExecutorOptions {
+            warm_start: false,
+            ..ExecutorOptions::serial()
+        };
+        let series = run_sweep(&grid, &cold).unwrap();
+        let points = &series[0].points;
+        assert!(points.len() >= 3);
+        // Looser constraints can only improve (not worsen) the II, up to the
+        // small non-monotonicities the greedy step may introduce.
+        let first = points.first().unwrap().initiation_interval_ms;
+        let last = points.last().unwrap().initiation_interval_ms;
+        assert!(last <= first + 1e-9);
+        for p in points {
+            assert!(p.average_utilization > 0.0 && p.average_utilization <= 1.0);
+            assert!(p.solve_seconds >= 0.0);
+            // Warm starts are off: the diagnostics must say so.
+            assert_eq!(p.warm_start.provenance(), "cold");
+            assert!(p.relaxation_gap >= 0.0);
+            assert!(p.bb_nodes >= 1);
+        }
+    }
+
+    #[test]
     fn exact_sweep_skips_infeasible_points() {
         // 8 % cannot host CONV1 (10.6 % BRAM per CU for Alex-16); 80 % can.
         // A node cap with no wall-clock limit, as the quick figures use, so

@@ -499,6 +499,25 @@ mod tests {
     }
 
     #[test]
+    fn t_sweep_produces_one_series_per_t() {
+        let figure = figure2(true).unwrap();
+        let series = crate::run_sweep(&figure.grid, &crate::ExecutorOptions::serial()).unwrap();
+        assert_eq!(
+            series
+                .iter()
+                .map(|s| s.backend.as_str())
+                .collect::<Vec<_>>(),
+            ["T0.0%", "T10.0%"]
+        );
+        assert_eq!(series[0].points.len(), figure.constraints.len());
+        assert_eq!(series[1].points.len(), figure.constraints.len());
+        // The paper observes little effect of T; check the curves stay close.
+        for (a, b) in series[0].points.iter().zip(&series[1].points) {
+            assert!((a.initiation_interval_ms - b.initiation_interval_ms).abs() < 0.5);
+        }
+    }
+
+    #[test]
     fn quick_exact_budgets_are_node_limited_not_time_limited() {
         // A wall-clock limit would make the golden snapshots depend on
         // machine load; assert the quick configuration never carries one.

@@ -656,6 +656,43 @@ mod tests {
     }
 
     #[test]
+    fn constraint_grid_matches_the_core_shape() {
+        // Points are lo + (hi − lo)·i/(count − 1), bit for bit, as every
+        // paper sweep has used; lo + i·step or a running sum would round
+        // some interior points differently and move the solves' budgets.
+        // The grid is Fig. 3's full axis.
+        let grid = constraint_grid(0.55, 0.85, 7).unwrap();
+        let expected: [f64; 7] = [
+            0.55,
+            0.6000000000000001,
+            0.65,
+            0.7,
+            0.75,
+            0.7999999999999999,
+            0.85,
+        ];
+        assert_eq!(grid.len(), expected.len());
+        for (value, expected) in grid.iter().zip(expected) {
+            assert_eq!(
+                value.to_bits(),
+                expected.to_bits(),
+                "{value:?} vs {expected:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn degenerate_grid_is_rejected() {
+        // A single point is a typed error that says why, not a panic.
+        match constraint_grid(0.5, 0.5, 1) {
+            Err(ExploreError::InvalidGrid(message)) => {
+                assert!(message.contains("at least two points"), "{message}");
+            }
+            other => panic!("expected an InvalidGrid error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn degenerate_constraint_grids_error_instead_of_panicking() {
         assert!(constraint_grid(0.5, 0.5, 1).is_err());
         assert!(constraint_grid(0.5, 0.5, 5).is_err());

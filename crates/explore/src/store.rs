@@ -1264,4 +1264,32 @@ mod tests {
         assert!(cold_plan.units[0].seeds.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
+
+    #[test]
+    fn infeasible_points_are_skipped_not_fatal() {
+        let dir = temp_dir("infeasible");
+        let grid = SweepGrid::builder()
+            .case(CaseSpec::from_paper(PaperCase::Alex32OnFourFpgas))
+            .fpga_counts([4])
+            // 30 % cannot host CONV2 (37.6 % DSP per CU); 75 % can.
+            .constraints([0.30, 0.75])
+            .backend(SolverSpec::gpa(GpaOptions::fast()))
+            .build()
+            .unwrap();
+        let options = crate::ExecutorOptions::serial();
+        let mut store = SweepStore::open(&dir).unwrap();
+        let (first, report) = crate::run_sweep_stored(&grid, &options, &mut store).unwrap();
+        assert_eq!(first[0].points.len(), 1);
+        assert!((first[0].points[0].resource_constraint - 0.75).abs() < 1e-12);
+        assert_eq!(report.points_computed, 2);
+
+        // The skip is stored as a result: a rerun replays both points
+        // without solving and returns the same single point.
+        let mut reopened = SweepStore::open(&dir).unwrap();
+        let (replayed, report) = crate::run_sweep_stored(&grid, &options, &mut reopened).unwrap();
+        assert_eq!(report.points_replayed, 2);
+        assert_eq!(report.points_computed, 0);
+        assert_eq!(replayed, first);
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }
