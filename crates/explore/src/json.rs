@@ -18,7 +18,7 @@
 //! (which is what [`crate::export`] prints for them) and the wire codec
 //! rejects them before they ever reach a document.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth the parser accepts. Deeper documents error instead
 /// of overflowing the stack; the dispatcher protocol nests a handful of
@@ -155,7 +155,8 @@ impl Json {
             Json::Bool(false) => out.push_str("false"),
             Json::Num(v) => {
                 if v.is_finite() {
-                    out.push_str(&format!("{v}"));
+                    // Writing to a `String` cannot fail.
+                    let _ = write!(out, "{v}");
                 } else {
                     out.push_str("null");
                 }

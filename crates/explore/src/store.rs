@@ -46,6 +46,7 @@
 //!
 //! [`compute_unit`]: crate::compute_unit
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::Write as _;
@@ -601,22 +602,54 @@ fn problem_doc(
 
 /// Erases the budget dimension from a problem document, leaving the part
 /// shared by all points of a series.
-fn erase_budget(doc: &Json) -> Json {
-    match doc {
-        Json::Obj(pairs) => Json::Obj(
-            pairs
-                .iter()
-                .map(|(key, value)| {
-                    if key == "budget" {
-                        (key.clone(), Json::Null)
-                    } else {
-                        (key.clone(), value.clone())
-                    }
-                })
-                .collect(),
-        ),
-        other => other.clone(),
+fn erase_budget(mut doc: Json) -> Json {
+    if let Json::Obj(pairs) = &mut doc {
+        for (key, value) in pairs {
+            if key == "budget" {
+                *value = Json::Null;
+            }
+        }
     }
+    doc
+}
+
+/// The one fingerprint formula of the store: [`STORE_VERSION`] over a
+/// series' [`config_json`] and a problem document (a point's, or the
+/// series' with its budget erased).
+fn store_fingerprint(config: &str, doc: &str) -> Fingerprint {
+    Fingerprint::of_parts(STORE_VERSION as u64, &[config, doc])
+}
+
+/// Fingerprint and resolved per-FPGA budget of one grid point, from one
+/// instance of its problem. `config` is the series' [`config_json`]; the
+/// problem document is written into `text`, a buffer callers reuse.
+fn point_key(
+    grid: &SweepGrid,
+    series: usize,
+    budget_idx: usize,
+    config: &str,
+    text: &mut String,
+) -> Result<(Fingerprint, ResourceBudget), ExploreError> {
+    let (doc, budget) = problem_doc(grid, series, budget_idx)?;
+    text.clear();
+    doc.write(text);
+    Ok((store_fingerprint(config, text), budget))
+}
+
+/// Series fingerprint from the series' [`config_json`], writing the
+/// budget-erased problem document into `text`.
+fn series_key(
+    grid: &SweepGrid,
+    series: usize,
+    config: &str,
+    text: &mut String,
+) -> Result<Fingerprint, ExploreError> {
+    // The budget axis does not affect the series identity, so any budget
+    // index yields the same document once the budget is erased.
+    let (doc, _) = problem_doc(grid, series, 0)?;
+    text.clear();
+    erase_budget(doc).write(text);
+    Ok(store_fingerprint(config, text))
 }
 
 /// Content fingerprint of one grid point: a pure function of the
@@ -636,11 +669,7 @@ pub fn point_fingerprint(
     warm_start: bool,
 ) -> Result<Fingerprint, ExploreError> {
     let config = config_json(grid, series, warm_start)?;
-    let (doc, _) = problem_doc(grid, series, budget_idx)?;
-    Ok(Fingerprint::of_parts(
-        STORE_VERSION as u64,
-        &[&config, &doc.to_string()],
-    ))
+    point_key(grid, series, budget_idx, &config, &mut String::new()).map(|(fp, _)| fp)
 }
 
 /// Series fingerprint: like [`point_fingerprint`] but with the budget erased
@@ -658,13 +687,7 @@ pub fn series_fingerprint(
     warm_start: bool,
 ) -> Result<Fingerprint, ExploreError> {
     let config = config_json(grid, series, warm_start)?;
-    // The budget axis does not affect the series identity, so any budget
-    // index yields the same document once the budget is erased.
-    let (doc, _) = problem_doc(grid, series, 0)?;
-    Ok(Fingerprint::of_parts(
-        STORE_VERSION as u64,
-        &[&config, &erase_budget(&doc).to_string()],
-    ))
+    series_key(grid, series, &config, &mut String::new())
 }
 
 // ---------------------------------------------------------------------------
@@ -720,11 +743,13 @@ impl StorePlan {
 /// non-empty warm state; they are ordered tightest-budget-first with the
 /// fingerprint as the final tie-break.
 ///
-/// Lookups go through the [`ResultStore`] trait in two batched calls — one
-/// [`get_many`](ResultStore::get_many) over every point fingerprint and (when
-/// warm starts are on) one [`snapshot`](ResultStore::snapshot) for the seed
-/// universe — so a remote store pays two round trips per plan, not one per
-/// point.
+/// Lookups go through the [`ResultStore`] trait in at most two batched
+/// calls: one [`get_many`](ResultStore::get_many) over every point
+/// fingerprint, then one [`snapshot`](ResultStore::snapshot) for the seed
+/// universe — only when warm starts are on and some unit is not fully
+/// stored, because only units that compute take seeds. A remote store thus
+/// pays one round trip to plan a full replay and two otherwise, never one
+/// per point.
 ///
 /// # Errors
 ///
@@ -737,37 +762,60 @@ pub fn plan_store(
     store: &mut dyn ResultStore,
 ) -> Result<StorePlan, ExploreError> {
     // Fingerprint every point of every unit first: the exclusion set must
-    // cover the whole grid before any seed is selected.
-    let mut series_fps: HashMap<usize, Fingerprint> = HashMap::new();
+    // cover the whole grid before any seed is selected. Each series' config
+    // is encoded once, each point's problem once, into one reused buffer.
+    let mut series_keys: HashMap<usize, (String, Fingerprint)> = HashMap::new();
+    let mut text = String::new();
     let mut keyed: Vec<(Fingerprint, Vec<Fingerprint>, Vec<ResourceBudget>)> =
         Vec::with_capacity(units.len());
-    let mut grid_fps: HashSet<Fingerprint> = HashSet::new();
     for unit in units {
-        let series_fp = match series_fps.get(&unit.series) {
-            Some(fp) => *fp,
-            None => {
-                let fp = series_fingerprint(grid, unit.series, warm_start)?;
-                series_fps.insert(unit.series, fp);
-                fp
+        let (config, series_fp) = match series_keys.entry(unit.series) {
+            Entry::Occupied(known) => known.into_mut(),
+            Entry::Vacant(slot) => {
+                let config = config_json(grid, unit.series, warm_start)?;
+                let series_fp = series_key(grid, unit.series, &config, &mut text)?;
+                slot.insert((config, series_fp))
             }
         };
         let mut point_fps = Vec::with_capacity(unit.end - unit.start);
         let mut budgets = Vec::with_capacity(unit.end - unit.start);
         for budget_idx in unit.start..unit.end {
-            let fp = point_fingerprint(grid, unit.series, budget_idx, warm_start)?;
-            let (_, budget) = problem_doc(grid, unit.series, budget_idx)?;
-            grid_fps.insert(fp);
+            let (fp, budget) = point_key(grid, unit.series, budget_idx, config, &mut text)?;
             point_fps.push(fp);
             budgets.push(budget);
         }
-        keyed.push((series_fp, point_fps, budgets));
+        keyed.push((*series_fp, point_fps, budgets));
     }
+
+    // One batched lookup over every point of every unit; a unit replays
+    // when every one of its points is stored.
+    let all_fps: Vec<Fingerprint> = keyed
+        .iter()
+        .flat_map(|(_, point_fps, _)| point_fps.iter().copied())
+        .collect();
+    let mut looked_up = store.get_many(&all_fps)?.into_iter();
+    let cached: Vec<Option<Vec<Option<SweepPoint>>>> = keyed
+        .iter()
+        .map(|(_, point_fps, _)| {
+            // Every slot of the unit is taken before any is checked, so the
+            // next unit starts at its own first slot.
+            let stored: Vec<Option<StoreEntry>> = point_fps
+                .iter()
+                .map(|_| looked_up.next().flatten())
+                .collect();
+            stored
+                .into_iter()
+                .map(|entry| entry.map(|entry| entry.point))
+                .collect()
+        })
+        .collect();
 
     // Seeds per series: stored, solved, warm-carrying neighbours outside the
     // current grid, in a canonical order.
     let mut seeds_by_series: HashMap<Fingerprint, Vec<(Fingerprint, ResourceBudget, WarmStart)>> =
         HashMap::new();
-    if warm_start {
+    if warm_start && cached.iter().any(Option::is_none) {
+        let grid_fps: HashSet<Fingerprint> = all_fps.into_iter().collect();
         for (fp, entry) in store.snapshot()? {
             if grid_fps.contains(&fp) || entry.point.is_none() || entry.warm.is_empty() {
                 continue;
@@ -790,30 +838,10 @@ pub fn plan_store(
         }
     }
 
-    // One batched lookup over every point of every unit.
-    let all_fps: Vec<Fingerprint> = keyed
-        .iter()
-        .flat_map(|(_, point_fps, _)| point_fps.iter().copied())
-        .collect();
-    let mut looked_up = store.get_many(&all_fps)?.into_iter();
-
     let plans = keyed
         .into_iter()
-        .map(|(series_fp, point_fps, budgets)| {
-            let stored: Vec<Option<StoreEntry>> = point_fps
-                .iter()
-                .map(|_| looked_up.next().flatten())
-                .collect();
-            let cached = if stored.iter().all(Option::is_some) {
-                Some(
-                    stored
-                        .iter()
-                        .map(|entry| entry.as_ref().expect("all present").point)
-                        .collect(),
-                )
-            } else {
-                None
-            };
+        .zip(cached)
+        .map(|((series_fp, point_fps, budgets), cached)| {
             let seeds = if cached.is_some() {
                 Vec::new()
             } else {
@@ -952,6 +980,64 @@ mod tests {
             warm: WarmStart::none()
                 .with_relaxed_ii(1.5)
                 .with_cu_counts(vec![1, 2, 3]),
+        }
+    }
+
+    /// Calls made on a [`CountingStore`], per trait method.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct Calls {
+        get_many: usize,
+        get_series: usize,
+        snapshot: usize,
+        put: usize,
+    }
+
+    /// A [`SweepStore`] that counts the calls made on it.
+    struct CountingStore {
+        inner: SweepStore,
+        calls: Calls,
+    }
+
+    impl CountingStore {
+        /// The calls made since the last `take`.
+        fn take(&mut self) -> Calls {
+            std::mem::take(&mut self.calls)
+        }
+    }
+
+    impl ResultStore for CountingStore {
+        fn get_many(
+            &mut self,
+            fps: &[Fingerprint],
+        ) -> Result<Vec<Option<StoreEntry>>, ExploreError> {
+            self.calls.get_many += 1;
+            self.inner.get_many(fps)
+        }
+
+        fn get_series(
+            &mut self,
+            series: &Fingerprint,
+        ) -> Result<Vec<(Fingerprint, StoreEntry)>, ExploreError> {
+            self.calls.get_series += 1;
+            self.inner.get_series(series)
+        }
+
+        fn snapshot(&mut self) -> Result<Vec<(Fingerprint, StoreEntry)>, ExploreError> {
+            self.calls.snapshot += 1;
+            self.inner.snapshot()
+        }
+
+        fn put(&mut self, entries: Vec<(Fingerprint, StoreEntry)>) -> Result<(), ExploreError> {
+            self.calls.put += 1;
+            self.inner.put(entries)
+        }
+
+        fn corrupt_count(&self) -> usize {
+            self.inner.corrupt_count()
+        }
+
+        fn version_mismatch_count(&self) -> usize {
+            self.inner.version_mismatch_count()
         }
     }
 
@@ -1208,27 +1294,118 @@ mod tests {
     }
 
     #[test]
+    fn fingerprints_are_pinned_and_the_planner_reproduces_them() {
+        // Two series (Alex-16 on 2 and on 4 FPGAs), four budgets each.
+        let grid = SweepGrid::builder()
+            .case(CaseSpec::from_paper(PaperCase::Alex16OnTwoFpgas))
+            .fpga_counts([2, 4])
+            .constraints(constraint_grid(0.55, 0.85, 4).unwrap())
+            .backend(SolverSpec::gpa(GpaOptions::fast()))
+            .build()
+            .unwrap();
+        assert_eq!(grid.num_series(), 2);
+        // Every stored segment is keyed by these digests: a change to the
+        // canonical encodings or to the fingerprint formula fails here, and
+        // must come with a STORE_VERSION bump.
+        for (series, budget_idx, point_hex, series_hex) in [
+            (
+                0,
+                1,
+                "8ebb9e93a7c68e138945e6df90cd24d8",
+                "14b3d17a6f97b5d17a9f5f210dec8f43",
+            ),
+            (
+                1,
+                3,
+                "90031e9a8ceb9c142958684c2fdf0694",
+                "4789a6c9e92627c3880ec920f1873cff",
+            ),
+        ] {
+            assert_eq!(
+                point_fingerprint(&grid, series, budget_idx, true)
+                    .unwrap()
+                    .to_hex(),
+                point_hex
+            );
+            assert_eq!(
+                series_fingerprint(&grid, series, true).unwrap().to_hex(),
+                series_hex
+            );
+        }
+
+        // Units smaller than a series: the planner's keys are the public
+        // fingerprints and the instance budget, point by point.
+        let units = plan_units(&grid, 3).unwrap();
+        assert_eq!(units.len(), 4);
+        let dir = temp_dir("pinned");
+        let mut store = SweepStore::open(&dir).unwrap();
+        let plan = plan_store(&grid, &units, true, &mut store).unwrap();
+        for (unit, unit_plan) in units.iter().zip(&plan.units) {
+            assert_eq!(
+                unit_plan.series_fp,
+                series_fingerprint(&grid, unit.series, true).unwrap()
+            );
+            assert_eq!(unit_plan.point_fps.len(), unit.end - unit.start);
+            assert_eq!(unit_plan.budgets.len(), unit.end - unit.start);
+            let (case_idx, platform_idx, _) = grid.series_key(unit.series);
+            for (k, budget_idx) in (unit.start..unit.end).enumerate() {
+                assert_eq!(
+                    unit_plan.point_fps[k],
+                    point_fingerprint(&grid, unit.series, budget_idx, true).unwrap()
+                );
+                let instance = grid.cases[case_idx]
+                    .problem_at(&grid.platforms[platform_idx], &grid.budgets[budget_idx]);
+                assert_eq!(unit_plan.budgets[k], *instance.budget());
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn planning_excludes_current_grid_points_from_seeds() {
         let dir = temp_dir("plan-seeds");
         let grid = small_grid(3);
         let units = plan_units(&grid, 8).unwrap();
-        let mut store = SweepStore::open(&dir).unwrap();
+        let mut store = CountingStore {
+            inner: SweepStore::open(&dir).unwrap(),
+            calls: Calls::default(),
+        };
+        // One batched lookup per plan; a seed snapshot only when a unit will
+        // compute with warm starts on.
+        let lookup = Calls {
+            get_many: 1,
+            ..Calls::default()
+        };
+        let lookup_and_seeds = Calls {
+            get_many: 1,
+            snapshot: 1,
+            ..Calls::default()
+        };
 
         // Empty store: nothing cached, nothing seeded.
         let cold = plan_store(&grid, &units, true, &mut store).unwrap();
         assert_eq!(cold.units_replayed(), 0);
         assert!(cold.units[0].seeds.is_empty());
+        assert_eq!(store.take(), lookup_and_seeds);
 
         // Populate the store with this very grid.
         let out = crate::executor::compute_unit_hinted(&grid, &units[0], true, 256, &[]).unwrap();
         commit_unit(&mut store, &cold.units[0], &out).unwrap();
+        assert_eq!(
+            store.take(),
+            Calls {
+                put: 1,
+                ..Calls::default()
+            }
+        );
 
         // Re-planning the same grid: the unit replays, and — crucially — its
-        // own points never become seeds.
+        // own points never become seeds. Nothing computes, so no snapshot.
         let replay = plan_store(&grid, &units, true, &mut store).unwrap();
         assert_eq!(replay.units_replayed(), 1);
         assert_eq!(replay.units[0].cached.as_ref().unwrap().len(), 3);
         assert!(replay.units[0].seeds.is_empty());
+        assert_eq!(store.take(), lookup);
 
         // A *shifted* grid of the same series sees the stored points as
         // neighbour seeds, tightest budget first.
@@ -1242,6 +1419,7 @@ mod tests {
         let shifted_units = plan_units(&shifted, 8).unwrap();
         let plan = plan_store(&shifted, &shifted_units, true, &mut store).unwrap();
         assert_eq!(plan.units_replayed(), 0);
+        assert_eq!(store.take(), lookup_and_seeds);
         let seeds = &plan.units[0].seeds;
         assert!(
             !seeds.is_empty(),
@@ -1262,6 +1440,7 @@ mod tests {
         // With warm starts off no seeds flow at all.
         let cold_plan = plan_store(&shifted, &shifted_units, false, &mut store).unwrap();
         assert!(cold_plan.units[0].seeds.is_empty());
+        assert_eq!(store.take(), lookup);
         fs::remove_dir_all(&dir).unwrap();
     }
 

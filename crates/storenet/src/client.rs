@@ -91,7 +91,9 @@ impl Session {
 /// underlying session re-binds it at the handshake. All trait calls are
 /// synchronous request/reply exchanges; batched lookups
 /// ([`get_many`](ResultStore::get_many)) cross the wire as one frame, which
-/// is what keeps a remote sweep at two round trips per unit planning pass.
+/// is what keeps a remote sweep's planning pass at one round trip for a full
+/// replay and two when some unit computes (the second fetches the seed
+/// snapshot).
 ///
 /// Resilience: every request is idempotent (the store is content-addressed,
 /// so replaying a `put` at worst re-appends a duplicate the next GC pass
@@ -102,11 +104,11 @@ impl Session {
 /// bounds how long any single exchange can stall on a hung (not erroring)
 /// server.
 ///
-/// Damage accounting: the server reports its on-disk corrupt/version-skew
-/// counts through a `stats` exchange at connect time, and any entry slot
-/// that arrives version-mismatched decodes as a plain miss — the client
-/// never surfaces a decode error for damaged cached data, it just
-/// recomputes.
+/// Damage accounting: the handshake's `store-ready` reply carries the bound
+/// namespace's own on-disk corrupt/version-skew counts (never other
+/// namespaces' damage), refreshed at every redial, and any entry slot that
+/// arrives version-mismatched decodes as a plain miss — the client never
+/// surfaces a decode error for damaged cached data, it just recomputes.
 #[derive(Debug)]
 pub struct RemoteStore {
     addr: String,
@@ -119,17 +121,16 @@ pub struct RemoteStore {
 }
 
 impl RemoteStore {
-    /// Connects to a store-server at `addr` (e.g. `127.0.0.1:7070`), runs
-    /// the v5 handshake binding `namespace`, and snapshots the server's
-    /// damage counters. The session socket has no I/O timeout; see
-    /// [`connect_with_timeout`](Self::connect_with_timeout) for a bounded
-    /// variant.
+    /// Connects to a store-server at `addr` (e.g. `127.0.0.1:7070`) and
+    /// runs the v5 handshake binding `namespace`, whose reply carries the
+    /// namespace's damage counts: one round trip. The session socket has no
+    /// I/O timeout; see [`connect_with_timeout`](Self::connect_with_timeout)
+    /// for a bounded variant.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreNetError`] when the connection, the handshake, or the
-    /// initial stats exchange fails (including a namespace the server
-    /// rejects).
+    /// Returns [`StoreNetError`] when the connection or the handshake fails
+    /// (including a namespace the server rejects).
     pub fn connect(addr: &str, namespace: &str) -> Result<RemoteStore, StoreNetError> {
         Self::connect_with_timeout(addr, namespace, None)
     }
@@ -143,8 +144,7 @@ impl RemoteStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreNetError`] when the connection, the handshake, or the
-    /// initial stats exchange fails.
+    /// Returns [`StoreNetError`] when the connection or the handshake fails.
     pub fn connect_with_timeout(
         addr: &str,
         namespace: &str,
@@ -160,9 +160,6 @@ impl RemoteStore {
             version_mismatches: 0,
         };
         client.ensure_session()?;
-        let stats = client.stats()?;
-        client.corrupt_entries = stats.corrupt_entries;
-        client.version_mismatches = stats.version_mismatches;
         Ok(client)
     }
 
@@ -171,7 +168,8 @@ impl RemoteStore {
         &self.namespace
     }
 
-    /// Fetches the server's aggregate counters.
+    /// Fetches the server's aggregate counters, summed over every namespace
+    /// it has opened.
     ///
     /// # Errors
     ///
@@ -222,8 +220,9 @@ impl RemoteStore {
         self.next_id
     }
 
-    /// Dials, handshakes, and namespace-binds a fresh session.
-    fn dial(&self) -> Result<Session, StoreNetError> {
+    /// Dials, handshakes, and namespace-binds a fresh session; returns it
+    /// with the namespace's `(corrupt, version-mismatched)` line counts.
+    fn dial(&self) -> Result<(Session, usize, usize), StoreNetError> {
         let stream = TcpStream::connect(&self.addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(self.io_timeout)?;
@@ -238,8 +237,12 @@ impl RemoteStore {
             namespace: Some(self.namespace.clone()),
         })?;
         match session.read_frame()? {
-            FromStore::Ready { protocol } if protocol == PROTOCOL_VERSION => Ok(session),
-            FromStore::Ready { protocol } => Err(StoreNetError::Protocol(format!(
+            FromStore::Ready {
+                protocol,
+                corrupt_entries,
+                version_mismatches,
+            } if protocol == PROTOCOL_VERSION => Ok((session, corrupt_entries, version_mismatches)),
+            FromStore::Ready { protocol, .. } => Err(StoreNetError::Protocol(format!(
                 "protocol version skew: client speaks {PROTOCOL_VERSION}, \
                  store-server sent {protocol}"
             ))),
@@ -252,7 +255,10 @@ impl RemoteStore {
 
     fn ensure_session(&mut self) -> Result<(), StoreNetError> {
         if self.session.is_none() {
-            self.session = Some(self.dial()?);
+            let (session, corrupt_entries, version_mismatches) = self.dial()?;
+            self.session = Some(session);
+            self.corrupt_entries = corrupt_entries;
+            self.version_mismatches = version_mismatches;
         }
         Ok(())
     }

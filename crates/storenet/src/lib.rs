@@ -24,8 +24,9 @@
 //!   directories.
 //!
 //! Damage never propagates: corrupt or version-mismatched entries answer as
-//! typed misses (counted in stats), so the worst a damaged shared cache can
-//! cost any client is recomputation.
+//! typed misses (counted per namespace in the handshake reply, and summed
+//! over namespaces in stats), so the worst a damaged shared cache can cost
+//! any client is recomputation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! client → server   {"type":"store-hello","protocol":5,"namespace":"fig2"}
-//! server → client   {"type":"store-ready","protocol":5}
+//! server → client   {"type":"store-ready","protocol":5,"corrupt_entries":0,"version_mismatches":0}
 //! client → server   {"type":"get","id":1,"fps":["<hex>",…]}       (points)
 //!                   {"type":"get","id":2,"series":"<hex>"}        (one family)
 //!                   {"type":"get","id":3,"all":true}              (snapshot)
@@ -29,6 +29,12 @@
 //!                   {"type":"error","id":0,"message":"…"}         (failures)
 //! client → server   {"type":"shutdown"}
 //! ```
+//!
+//! `store-ready` reports the damage found when the bound namespace was
+//! opened — its own corrupt and version-mismatched lines, 0 when no
+//! namespace is bound — so a client learns its namespace's damage in the
+//! handshake's one round trip. The `stats` frame sums the same counters over
+//! every namespace the server has opened.
 //!
 //! A `get` over point fingerprints answers one slot per requested
 //! fingerprint, `null` for misses — absent, corrupt and version-mismatched
@@ -130,6 +136,12 @@ pub enum FromStore {
     Ready {
         /// Protocol version of the server.
         protocol: usize,
+        /// Corrupt or truncated lines skipped when the bound namespace was
+        /// opened (0 when none is bound).
+        corrupt_entries: usize,
+        /// Lines of the bound namespace skipped for a store-version
+        /// mismatch when it was opened (0 when none is bound).
+        version_mismatches: usize,
     },
     /// Answers a [`ToStore::Get`]: one slot per requested point fingerprint
     /// (misses are `None`), or every matching entry for series/snapshot
@@ -178,6 +190,15 @@ fn fingerprint_of(value: &Json) -> Result<Fingerprint, WireError> {
         .ok_or_else(|| WireError::Schema("a fingerprint must be a string".into()))?;
     raw.parse()
         .map_err(|_| WireError::Invalid(format!("'{raw}' is not a fingerprint")))
+}
+
+/// The count field `key`, or 0 when the frame does not carry it.
+fn count_or_zero(doc: &Json, key: &str) -> Result<usize, WireError> {
+    if doc.get(key).is_some() {
+        usize_field(doc, key)
+    } else {
+        Ok(0)
+    }
 }
 
 fn entry_doc(fp: &Fingerprint, entry: &StoreEntry) -> Result<Json, WireError> {
@@ -316,9 +337,15 @@ impl FromStore {
     /// float.
     pub fn encode(&self) -> Result<String, WireError> {
         let doc = match self {
-            FromStore::Ready { protocol } => Json::obj(vec![
+            FromStore::Ready {
+                protocol,
+                corrupt_entries,
+                version_mismatches,
+            } => Json::obj(vec![
                 ("type", Json::str("store-ready")),
                 ("protocol", Json::Num(*protocol as f64)),
+                ("corrupt_entries", Json::Num(*corrupt_entries as f64)),
+                ("version_mismatches", Json::Num(*version_mismatches as f64)),
             ]),
             FromStore::Entries { id, entries } => {
                 let docs = entries
@@ -395,6 +422,10 @@ impl FromStore {
         match type_tag(&doc)? {
             "store-ready" => Ok(FromStore::Ready {
                 protocol: usize_field(&doc, "protocol")?,
+                // Absent on frames from servers that predate the per-namespace
+                // damage counts: read as no damage reported.
+                corrupt_entries: count_or_zero(&doc, "corrupt_entries")?,
+                version_mismatches: count_or_zero(&doc, "version_mismatches")?,
             }),
             "entries" => {
                 let entries = arr_field(&doc, "entries")?
@@ -496,11 +527,23 @@ mod tests {
         );
         assert_eq!(
             FromStore::Ready {
-                protocol: PROTOCOL_VERSION
+                protocol: PROTOCOL_VERSION,
+                corrupt_entries: 2,
+                version_mismatches: 1,
             }
             .encode()
             .unwrap(),
-            r#"{"type":"store-ready","protocol":5}"#
+            r#"{"type":"store-ready","protocol":5,"corrupt_entries":2,"version_mismatches":1}"#
+        );
+        // A server from before the damage counts sends a bare store-ready:
+        // it decodes as a namespace with no damage reported.
+        assert_eq!(
+            FromStore::decode(r#"{"type":"store-ready","protocol":5}"#).unwrap(),
+            FromStore::Ready {
+                protocol: PROTOCOL_VERSION,
+                corrupt_entries: 0,
+                version_mismatches: 0,
+            }
         );
         assert_eq!(
             ToStore::Stats { id: 7 }.encode().unwrap(),
@@ -641,6 +684,8 @@ mod tests {
         let from = [
             FromStore::Ready {
                 protocol: PROTOCOL_VERSION,
+                corrupt_entries: 3,
+                version_mismatches: 1,
             },
             FromStore::Entries {
                 id: 1,

@@ -298,9 +298,18 @@ fn session_loop(mut frames: FrameReader<TcpStream>, mut writer: TcpStream, share
                 }
                 match bind_namespace(shared, namespace) {
                     Ok(store) => {
+                        // The namespace's own damage, not the server-wide
+                        // sums the `stats` frame reports.
+                        let (corrupt_entries, version_mismatches) =
+                            store.as_ref().map_or((0, 0), |store| {
+                                let store = store.lock().expect("store mutex poisoned");
+                                (store.corrupt_entries(), store.version_mismatches())
+                            });
                         bound = store;
                         FromStore::Ready {
                             protocol: PROTOCOL_VERSION,
+                            corrupt_entries,
+                            version_mismatches,
                         }
                     }
                     Err(message) => return close(&mut writer, message),

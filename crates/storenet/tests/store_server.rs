@@ -11,8 +11,7 @@ use mfa_alloc::solver::WarmStart;
 use mfa_explore::store::{entry_to_json, ResultStore, StoreEntry, SweepStore};
 use mfa_platform::ResourceBudget;
 use mfa_storenet::{
-    FromStore, RemoteStore, StoreNetError, StoreServer, StoreServerOptions, StoreServerStats,
-    ToStore,
+    FromStore, RemoteStore, StoreNetError, StoreServer, StoreServerOptions, ToStore,
 };
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -30,6 +29,21 @@ fn sample_entry(budget: f64) -> StoreEntry {
             .with_relaxed_ii(0.1 + budget)
             .with_cu_counts(vec![2, 1]),
     }
+}
+
+/// Writes one segment into `dir` holding a garbage line and a
+/// version-skewed line next to nothing valid.
+fn write_damaged_segment(dir: &Path) {
+    let future = entry_to_json(&Fingerprint::of_parts(1, &["future"]), &sample_entry(0.9))
+        .unwrap()
+        .to_string()
+        .replace("\"v\":1", "\"v\":999");
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(
+        dir.join("seg-damaged.jsonl"),
+        format!("not json at all\n{future}\n"),
+    )
+    .unwrap();
 }
 
 fn spawn(root: &Path) -> (StoreServer, String) {
@@ -102,17 +116,8 @@ fn damaged_segments_answer_typed_misses_never_client_errors() {
         let mut store = SweepStore::open(root.join("fig2")).unwrap();
         store.put(vec![(good_fp, good.clone())]).unwrap();
     }
-    // One segment with a garbage line and a version-skewed line next to
-    // nothing valid: damage a remote client must never decode-fail on.
-    let future = entry_to_json(&Fingerprint::of_parts(1, &["future"]), &sample_entry(0.9))
-        .unwrap()
-        .to_string()
-        .replace("\"v\":1", "\"v\":999");
-    std::fs::write(
-        root.join("fig2").join("seg-damaged.jsonl"),
-        format!("not json at all\n{future}\n"),
-    )
-    .unwrap();
+    // Damage a remote client must never decode-fail on.
+    write_damaged_segment(&root.join("fig2"));
 
     let (server, addr) = spawn(&root);
     let mut client = RemoteStore::connect(&addr, "fig2").expect("connect");
@@ -131,6 +136,34 @@ fn damaged_segments_answer_typed_misses_never_client_errors() {
     assert_eq!(stats.version_mismatches, 1);
     assert_eq!(client.corrupt_count(), 1);
     assert_eq!(client.version_mismatch_count(), 1);
+
+    server.stop();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn each_client_reports_its_own_namespaces_damage_only() {
+    let root = temp_root("damage-per-namespace");
+    write_damaged_segment(&root.join("fig2"));
+    let (server, addr) = spawn(&root);
+
+    // fig2 opens first, so the server-wide totals already hold its damage
+    // when fig3 binds.
+    let fig2 = RemoteStore::connect(&addr, "fig2").expect("connect fig2");
+    let mut fig3 = RemoteStore::connect(&addr, "fig3").expect("connect fig3");
+    assert_eq!(
+        (fig3.corrupt_count(), fig3.version_mismatch_count()),
+        (0, 0)
+    );
+    assert_eq!(
+        (fig2.corrupt_count(), fig2.version_mismatch_count()),
+        (1, 1)
+    );
+
+    // The stats frame still sums over every open namespace.
+    let stats = fig3.stats().expect("stats");
+    assert_eq!(stats.namespaces, 2);
+    assert_eq!((stats.corrupt_entries, stats.version_mismatches), (1, 1));
 
     server.stop();
     std::fs::remove_dir_all(&root).unwrap();
@@ -309,41 +342,32 @@ fn an_idle_timed_out_session_reconnects_transparently() {
 
 #[test]
 fn a_hung_store_server_costs_a_bounded_typed_error_not_a_stall() {
-    // A scripted peer that completes the handshake and the connect-time
-    // stats exchange, then goes silent while keeping the socket open — the
-    // "hung, not erroring" failure mode a spill backend must bound.
+    // A scripted peer that completes the handshake, then goes silent while
+    // keeping the socket open — the "hung, not erroring" failure mode a
+    // spill backend must bound.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let peer = std::thread::spawn(move || {
         // Serve each dial attempt (the client retries once on a fresh
-        // session) with handshake + stats, then hang.
+        // session) with the handshake, then hang.
         for _ in 0..2 {
             let Ok((stream, _)) = listener.accept() else {
                 return;
             };
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let mut line = String::new();
-            let answer = |frame: &FromStore| {
-                let mut line = frame.encode().unwrap();
-                line.push('\n');
-                (&stream).write_all(line.as_bytes()).unwrap();
-            };
             if reader.read_line(&mut line).is_err() {
                 return;
             }
-            answer(&FromStore::Ready {
+            let mut ready = FromStore::Ready {
                 protocol: mfa_storenet::PROTOCOL_VERSION,
-            });
-            line.clear();
-            if reader.read_line(&mut line).is_err() {
-                return;
+                corrupt_entries: 0,
+                version_mismatches: 0,
             }
-            if let Ok(ToStore::Stats { id }) = ToStore::decode(line.trim_end()) {
-                answer(&FromStore::Stats {
-                    id,
-                    stats: StoreServerStats::default(),
-                });
-            }
+            .encode()
+            .unwrap();
+            ready.push('\n');
+            (&stream).write_all(ready.as_bytes()).unwrap();
             // Read the next request and never answer it; hold the socket.
             line.clear();
             let _ = reader.read_line(&mut line);
