@@ -12,7 +12,10 @@
 //! Each figure is measured twice: once with the executor's warm starts (the
 //! default sweep configuration) and once cold (`--no-warm-start` executor
 //! options), so the snapshot pins both the warm-started effort and the
-//! baseline it saves against. Both blocks are compared by `--check`.
+//! baseline it saves against. Both blocks are compared by `--check`, and no
+//! warm effort counter may exceed its cold one: warm starts never cost more
+//! than cold solves. That invariant is enforced at measurement time, in
+//! `--out` and `--check` alike.
 //!
 //! Version 3 adds a `store` block exercising the persistent sweep store in a
 //! temporary directory: an identical re-run must replay every point
@@ -136,6 +139,33 @@ fn measure(figure: &FigureSpec, warm_start: bool) -> FigureEffort {
 struct MeasuredFigure {
     warm: FigureEffort,
     cold: FigureEffort,
+}
+
+/// The effort counters a warm start may never raise above the cold solve's.
+const WARM_BOUNDED_KEYS: [&str; 4] = [
+    "barrier_iterations",
+    "factorizations",
+    "simplex_pivots",
+    "bb_nodes",
+];
+
+impl MeasuredFigure {
+    /// The counters on which the warm sweep spent more than the cold one,
+    /// each naming the figure and the counter.
+    fn warm_over_cold(&self) -> Vec<String> {
+        WARM_BOUNDED_KEYS
+            .iter()
+            .filter(|&&key| self.warm.counter(key) > self.cold.counter(key))
+            .map(|&key| {
+                format!(
+                    "{}: warm {key} {} exceeds cold {}",
+                    self.warm.name,
+                    self.warm.counter(key),
+                    self.cold.counter(key)
+                )
+            })
+            .collect()
+    }
 }
 
 /// Counters of the persistent-store scenario (see [`measure_store`]).
@@ -482,6 +512,18 @@ fn main() -> ExitCode {
         }
     }
 
+    let over: Vec<String> = measured
+        .iter()
+        .flat_map(MeasuredFigure::warm_over_cold)
+        .collect();
+    if !over.is_empty() {
+        eprintln!("warm starts cost more than cold solves:");
+        for line in &over {
+            eprintln!("  {line}");
+        }
+        return ExitCode::FAILURE;
+    }
+
     let store = measure_store();
     println!(
         "  store: replay computed {} / replayed {}, warm-from-store {}, \
@@ -530,4 +572,39 @@ fn main() -> ExitCode {
     }
     println!("wrote {path}");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn effort(factorizations: usize, bb_nodes: usize) -> FigureEffort {
+        FigureEffort {
+            name: "fig4",
+            points: 6,
+            skipped: 0,
+            barrier_iterations: 19,
+            factorizations,
+            simplex_pivots: 40,
+            bb_nodes,
+            wall_seconds: 0.0,
+        }
+    }
+
+    #[test]
+    fn a_warm_counter_above_cold_names_the_figure_and_the_counter() {
+        let figure = MeasuredFigure {
+            warm: effort(223, 10),
+            cold: effort(214, 12),
+        };
+        assert_eq!(
+            figure.warm_over_cold(),
+            ["fig4: warm factorizations 223 exceeds cold 214"]
+        );
+        let figure = MeasuredFigure {
+            warm: effort(147, 12),
+            cold: effort(171, 12),
+        };
+        assert!(figure.warm_over_cold().is_empty());
+    }
 }

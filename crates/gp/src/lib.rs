@@ -18,9 +18,13 @@
 //! allocation GP: every latency, bound and implicit box row) is affine in
 //! log-space and costs no `exp` or `ln`. A centering ends as soon as an
 //! accepted step leaves the iterate bitwise unchanged, because every later
-//! step would repeat it exactly. [`SolverOptions`] under which the method
-//! cannot converge are rejected up front, and a phase that runs out of
-//! outer iterations reports [`GpError::DidNotConverge`].
+//! step would repeat it exactly. It also ends when a strictly feasible full
+//! Newton step fails the Armijo test at a Newton decrement small enough that
+//! backtracking provably accepts the full step on a self-concordant barrier:
+//! there the barrier value's rounding, not its curvature, refused the step.
+//! [`SolverOptions`] under which the method cannot converge are rejected up
+//! front, and a phase that runs out of outer iterations reports
+//! [`GpError::DidNotConverge`].
 //!
 //! # Example
 //!

@@ -18,11 +18,19 @@
 //! unit tests check bit for bit at every step (`solver/reference.rs`).
 //!
 //! A centering ends when the Newton decrement is small, when the line search
-//! accepts nothing, or when it accepts a step that leaves `y` bitwise
-//! unchanged. That last step would otherwise repeat, identically, until
-//! [`SolverOptions::max_newton_iterations`] ran out; stopping early leaves
-//! every iterate, barrier parameter and dual as it was and saves only Newton
-//! steps and factorizations.
+//! accepts nothing, when it accepts a step that leaves `y` bitwise
+//! unchanged, or when it refuses a full step that only rounding can refuse.
+//! The third step would otherwise repeat, identically, until
+//! [`SolverOptions::max_newton_iterations`] ran out. The fourth is a full
+//! step that stays strictly feasible but fails the Armijo test while the
+//! Newton decrement `λ` is at most `η = (1 − 2c)/4`, `c` the Armijo
+//! constant. On a self-concordant barrier backtracking accepts the full step
+//! there (Boyd & Vandenberghe, *Convex Optimization*, §9.6.4), so the
+//! refusal is φ's rounding, not its curvature: on the last rungs of the
+//! allocation GP, φ is about 1e8–1e9 and rounds away a decrease of `λ²`,
+//! and shorter steps would not lower `λ` either. A full step refused for
+//! leaving the domain still backtracks. Both exits leave every iterate
+//! before them as it was; they save only Newton steps and factorizations.
 
 use mfa_linalg::{KktFactorization, LinalgError, Matrix, Vector};
 
@@ -59,7 +67,12 @@ pub struct GpDualState {
 pub struct SolverOptions {
     /// Target duality-gap tolerance (`m / t < tolerance` stops the outer loop).
     pub tolerance: f64,
-    /// Newton decrement threshold for the inner iteration.
+    /// Newton decrement threshold for the inner iteration: a centering ends
+    /// once `λ²/2` is at most this. It may end earlier, at numerical
+    /// precision: when a step leaves the iterate bitwise unchanged, or when
+    /// a strictly feasible full step fails the Armijo test while `λ` is
+    /// small enough that only rounding can refuse it (see the crate
+    /// documentation).
     pub newton_tolerance: f64,
     /// Multiplicative increase of the barrier parameter per outer iteration.
     pub barrier_growth: f64,
@@ -388,6 +401,15 @@ struct Workspace {
     values: Vec<f64>,
 }
 
+/// Armijo constant of the backtracking line search: a step must decrease φ
+/// by at least this share of the decrease the slope predicts for it.
+const ARMIJO: f64 = 1e-4;
+
+/// The Newton decrement `λ` at or below which backtracking accepts the full
+/// step on a self-concordant barrier, `η = (1 − 2·ARMIJO) / 4` (Boyd &
+/// Vandenberghe, *Convex Optimization*, §9.6.4).
+const UNIT_STEP_DECREMENT: f64 = (1.0 - 2.0 * ARMIJO) / 4.0;
+
 /// Internal convex problem: minimize `objective(y)` subject to
 /// `constraints[i](y) ≤ 0`, all functions log-sum-exp (affine allowed).
 struct ConvexProgram {
@@ -476,17 +498,28 @@ impl ConvexProgram {
                 let trial = self.trial_value(ws.candidate.as_slice(), t, &mut ws.values);
                 #[cfg(test)]
                 self.check_trial(ws.candidate.as_slice(), t, trial);
-                if trial.is_some_and(|phi_candidate| phi_candidate <= phi + 1e-4 * alpha * slope) {
+                let sufficient = phi + ARMIJO * alpha * slope;
+                if trial.is_some_and(|phi_candidate| phi_candidate <= sufficient) {
                     std::mem::swap(y, &mut ws.candidate);
                     accepted = true;
+                    break;
+                }
+                // Inside the unit-step region a strictly feasible full step
+                // fails Armijo only because φ's rounding hides the decrease,
+                // and it would hide a shorter step's decrease as well.
+                if alpha == 1.0
+                    && trial.is_some()
+                    && decrement_sq <= UNIT_STEP_DECREMENT * UNIT_STEP_DECREMENT
+                {
                     break;
                 }
                 alpha *= 0.5;
             }
             steps += 1;
-            // Either the line search accepted nothing, or it accepted a step
-            // too small to move `y` by a single bit; then every later step
-            // would repeat this one exactly. Both mean we are at numerical
+            // The line search accepted nothing, or it refused a full step
+            // only rounding could refuse, or it accepted a step too small
+            // to move `y` by a single bit, after which every later step
+            // would repeat this one exactly. Each means we are at numerical
             // precision for this centering problem.
             if !accepted || same_bits(y.as_slice(), ws.candidate.as_slice()) {
                 break;

@@ -15,15 +15,21 @@
 //!     print what it folded
 //! store-server --connect ADDR [--namespace NS] --stats|--gc|--shutdown
 //!     talk to a live store-server: print its aggregate stats, compact the
-//!     given namespace, or shut it down
+//!     given namespace (default `default`), or shut it down; --stats and
+//!     --shutdown bind no namespace, so they create none
 //! ```
 
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
+use mfa_explore::session::{write_frame, FrameReader};
 use mfa_explore::{GcReport, SweepStore};
-use mfa_storenet::{RemoteStore, StoreServer, StoreServerOptions, StoreServerStats};
+use mfa_storenet::{
+    FromStore, RemoteStore, StoreServer, StoreServerOptions, StoreServerStats, ToStore,
+    PROTOCOL_VERSION,
+};
 
 enum Action {
     Listen(String),
@@ -193,24 +199,62 @@ fn run_local(root: &Path, action: &Action) -> Result<(), String> {
 }
 
 fn run_wire(addr: &str, namespace: &str, action: &Action) -> Result<(), String> {
-    let err_ctx = |err: mfa_storenet::StoreNetError| format!("store-server at {addr}: {err}");
-    let mut client = RemoteStore::connect(addr, namespace).map_err(err_ctx)?;
+    let in_ctx = |err: String| format!("store-server at {addr}: {err}");
     match action {
-        Action::Stats => {
-            let stats = client.stats().map_err(err_ctx)?;
-            print_stats(&stats);
-        }
         Action::Gc => {
-            let report = client.evict().map_err(err_ctx)?;
+            let report = RemoteStore::connect(addr, namespace)
+                .and_then(|mut client| client.evict())
+                .map_err(|err| in_ctx(err.to_string()))?;
             print_gc(namespace, &report);
+            Ok(())
         }
-        Action::Shutdown => {
-            client.shutdown().map_err(err_ctx)?;
-            println!("shutdown sent to {addr}");
-        }
+        Action::Stats | Action::Shutdown => run_unbound(addr, action).map_err(in_ctx),
         Action::Listen(_) => unreachable!("--listen is rejected with --connect at parse time"),
     }
-    Ok(())
+}
+
+/// `--stats` and `--shutdown` over a session whose handshake binds no
+/// namespace: neither needs one, and binding one would make the server
+/// create it.
+fn run_unbound(addr: &str, action: &Action) -> Result<(), String> {
+    let stream = TcpStream::connect(addr).map_err(|err| err.to_string())?;
+    let mut reader = FrameReader::new(stream.try_clone().map_err(|err| err.to_string())?);
+    let mut writer = stream;
+    let mut send = |frame: ToStore| -> Result<(), String> {
+        let line = frame.encode().map_err(|err| err.to_string())?;
+        write_frame(&mut writer, line).map_err(|err| err.to_string())
+    };
+    let mut receive = || -> Result<FromStore, String> {
+        let line = reader
+            .read_frame(usize::MAX)
+            .map_err(|err| err.to_string())?
+            .ok_or("the store-server closed the session")?;
+        match FromStore::decode(&line).map_err(|err| err.to_string())? {
+            FromStore::Error { message, .. } => Err(message),
+            frame => Ok(frame),
+        }
+    };
+    send(ToStore::Hello {
+        protocol: PROTOCOL_VERSION,
+        namespace: None,
+    })?;
+    match receive()? {
+        FromStore::Ready { protocol, .. } if protocol == PROTOCOL_VERSION => {}
+        other => return Err(format!("expected store-ready, got {other:?}")),
+    }
+    if matches!(action, Action::Shutdown) {
+        send(ToStore::Shutdown)?;
+        println!("shutdown sent to {addr}");
+        return Ok(());
+    }
+    send(ToStore::Stats { id: 1 })?;
+    match receive()? {
+        FromStore::Stats { stats, .. } => {
+            print_stats(&stats);
+            Ok(())
+        }
+        other => Err(format!("expected stats, got {other:?}")),
+    }
 }
 
 fn serve(dir: PathBuf, addr: &str, options: StoreServerOptions) -> Result<(), String> {

@@ -406,3 +406,32 @@ fn a_client_shutdown_frame_stops_the_whole_server() {
     server.stop();
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+/// `store-server --connect ADDR --stats` and `--shutdown` need no
+/// namespace, so their handshake binds none: the server opens and creates
+/// nothing, and the stats line counts no namespace.
+#[test]
+fn wire_stats_and_shutdown_bind_no_namespace() {
+    let root = temp_root("cli-unbound");
+    let (server, addr) = spawn(&root);
+    let cli = |action: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_store-server"))
+            .args(["--connect", &addr, action])
+            .output()
+            .expect("run store-server");
+        assert!(out.status.success(), "{action}: {out:?}");
+        String::from_utf8(out.stdout).expect("UTF-8 output")
+    };
+    let stats = cli("--stats");
+    assert!(stats.starts_with("namespaces=0 "), "{stats}");
+    assert!(cli("--shutdown").starts_with("shutdown sent to "));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !server.is_stopped() {
+        assert!(Instant::now() < deadline, "server did not stop");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.stats().namespaces, 0);
+    server.stop();
+    assert!(!root.join("default").exists());
+    let _ = std::fs::remove_dir_all(&root);
+}
