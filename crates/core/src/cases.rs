@@ -1,9 +1,8 @@
 //! The paper's three representative experiment cases and their parameters
 //! (Table 4).
 
-use mfa_cnn::{paper_data, Application};
-
-use crate::problem::{AllocationProblem, GoalWeights};
+use crate::paper_data;
+use crate::problem::{AllocationProblem, Application, GoalWeights};
 use crate::AllocError;
 
 /// One of the paper's representative multi-FPGA implementation cases.
@@ -82,7 +81,7 @@ impl PaperCase {
     /// Propagates problem-construction errors.
     pub fn problem(self, resource_constraint: f64) -> Result<AllocationProblem, AllocError> {
         AllocationProblem::from_application(
-            &self.application(),
+            self.application(),
             self.num_fpgas(),
             resource_constraint,
             self.weights(),

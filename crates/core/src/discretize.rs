@@ -386,8 +386,8 @@ fn implied_ii(problem: &AllocationProblem, counts: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper_data;
     use crate::problem::{GoalWeights, Kernel};
-    use mfa_cnn::paper_data;
     use mfa_platform::{MultiFpgaPlatform, ResourceBudget, ResourceVec};
     use proptest::prelude::*;
 
@@ -449,7 +449,7 @@ mod tests {
     #[test]
     fn every_kernel_keeps_at_least_one_cu() {
         let app = paper_data::alexnet_16bit();
-        let p = AllocationProblem::from_application(&app, 2, 0.60, GoalWeights::ii_only()).unwrap();
+        let p = AllocationProblem::from_application(app, 2, 0.60, GoalWeights::ii_only()).unwrap();
         let d = solve(&p, &DiscretizeOptions::default()).unwrap();
         assert_eq!(d.cu_counts.len(), 8);
         assert!(d.cu_counts.iter().all(|&n| n >= 1));

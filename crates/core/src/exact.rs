@@ -538,9 +538,9 @@ fn symmetry_sorted_columns(problem: &AllocationProblem, allocation: &Allocation)
 mod tests {
     use super::*;
     use crate::gpa::GpaOptions;
+    use crate::paper_data;
     use crate::problem::{GoalWeights, Kernel};
     use crate::solver::{Backend, SolveRequest};
-    use mfa_cnn::paper_data;
     use mfa_platform::{MultiFpgaPlatform, ResourceBudget, ResourceVec};
 
     fn solve(
@@ -637,7 +637,7 @@ mod tests {
     #[test]
     fn exact_and_heuristic_agree_on_alex16() {
         let app = paper_data::alexnet_16bit();
-        let p = AllocationProblem::from_application(&app, 2, 0.70, GoalWeights::ii_only()).unwrap();
+        let p = AllocationProblem::from_application(app, 2, 0.70, GoalWeights::ii_only()).unwrap();
         let heuristic = SolveRequest::new(&p)
             .backend(Backend::gpa_with(GpaOptions::fast()))
             .solve()
@@ -770,7 +770,7 @@ mod tests {
     #[test]
     fn budgeted_solve_reports_gap() {
         let app = paper_data::alexnet_16bit();
-        let p = AllocationProblem::from_application(&app, 2, 0.65, GoalWeights::ii_only()).unwrap();
+        let p = AllocationProblem::from_application(app, 2, 0.65, GoalWeights::ii_only()).unwrap();
         let outcome = solve(&p, &ExactOptions::ii_only_with_budget(50, 5.0)).unwrap();
         assert!(outcome.diagnostics.relaxation_gap.unwrap() >= 0.0);
         assert!(outcome.diagnostics.bb_nodes <= 50);

@@ -126,15 +126,6 @@ impl FingerprintHasher {
         self.write_bytes(&value.to_le_bytes());
     }
 
-    /// Absorbs an `f64` via its IEEE-754 bit pattern (little-endian).
-    ///
-    /// `-0.0` and `0.0` hash differently, as do distinct NaN payloads; the
-    /// canonical encodings hashed by the exploration layers never produce
-    /// either, so this never matters in practice.
-    pub fn write_f64(&mut self, value: f64) {
-        self.write_bytes(&value.to_bits().to_le_bytes());
-    }
-
     /// Absorbs a string with length-prefixed framing (`len` as u64, then the
     /// UTF-8 bytes).
     pub fn write_str(&mut self, value: &str) {

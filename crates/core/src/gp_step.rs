@@ -881,8 +881,8 @@ fn solve_bisection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper_data;
     use crate::problem::{GoalWeights, Kernel};
-    use mfa_cnn::paper_data;
     use mfa_platform::{MultiFpgaPlatform, ResourceBudget, ResourceVec};
     use proptest::prelude::*;
 
@@ -1228,7 +1228,7 @@ mod tests {
     #[test]
     fn alex16_relaxation_is_sensible() {
         let app = paper_data::alexnet_16bit();
-        let p = AllocationProblem::from_application(&app, 2, 0.65, GoalWeights::ii_only()).unwrap();
+        let p = AllocationProblem::from_application(app, 2, 0.65, GoalWeights::ii_only()).unwrap();
         let r = solve(&p, RelaxationBackend::Bisection).unwrap();
         assert!(r.initiation_interval_ms < 6.7);
         assert!(r.initiation_interval_ms > 0.3);

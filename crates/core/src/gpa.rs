@@ -336,9 +336,9 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
+    use crate::paper_data;
     use crate::problem::GoalWeights;
     use crate::solver::{Backend, SolveRequest};
-    use mfa_cnn::paper_data;
 
     fn gpa_report(
         problem: &AllocationProblem,
@@ -353,7 +353,7 @@ mod tests {
     fn alex16_on_two_fpgas_end_to_end() {
         let app = paper_data::alexnet_16bit();
         let problem =
-            AllocationProblem::from_application(&app, 2, 0.65, GoalWeights::new(1.0, 0.7)).unwrap();
+            AllocationProblem::from_application(app, 2, 0.65, GoalWeights::new(1.0, 0.7)).unwrap();
         let report = gpa_report(&problem, &GpaOptions::paper_defaults()).unwrap();
         report.allocation.validate(&problem, 1e-9).unwrap();
         let ii = report.initiation_interval_ms(&problem);
@@ -372,8 +372,7 @@ mod tests {
     fn vgg_on_eight_fpgas_is_fast_and_feasible() {
         let app = paper_data::vgg_16bit();
         let problem =
-            AllocationProblem::from_application(&app, 8, 0.61, GoalWeights::new(1.0, 50.0))
-                .unwrap();
+            AllocationProblem::from_application(app, 8, 0.61, GoalWeights::new(1.0, 50.0)).unwrap();
         let report = gpa_report(&problem, &GpaOptions::fast()).unwrap();
         report.allocation.validate(&problem, 1e-9).unwrap();
         let ii = report.initiation_interval_ms(&problem);
@@ -386,7 +385,7 @@ mod tests {
     fn gp_and_fast_backends_agree_on_final_ii() {
         let app = paper_data::alexnet_32bit();
         let problem =
-            AllocationProblem::from_application(&app, 4, 0.70, GoalWeights::new(1.0, 6.0)).unwrap();
+            AllocationProblem::from_application(app, 4, 0.70, GoalWeights::new(1.0, 6.0)).unwrap();
         let gp = gpa_report(&problem, &GpaOptions::paper_defaults()).unwrap();
         let fast = gpa_report(&problem, &GpaOptions::fast()).unwrap();
         let ii_gp = gp.initiation_interval_ms(&problem);
@@ -458,9 +457,10 @@ mod tests {
     fn warm_start_from_a_neighbouring_constraint_matches_cold_solve() {
         let app = paper_data::alexnet_16bit();
         let neighbour_problem =
-            AllocationProblem::from_application(&app, 2, 0.65, GoalWeights::new(1.0, 0.7)).unwrap();
+            AllocationProblem::from_application(app.clone(), 2, 0.65, GoalWeights::new(1.0, 0.7))
+                .unwrap();
         let problem =
-            AllocationProblem::from_application(&app, 2, 0.70, GoalWeights::new(1.0, 0.7)).unwrap();
+            AllocationProblem::from_application(app, 2, 0.70, GoalWeights::new(1.0, 0.7)).unwrap();
         let neighbour = gpa_report(&neighbour_problem, &GpaOptions::fast()).unwrap();
         let cold = gpa_report(&problem, &GpaOptions::fast()).unwrap();
         let warm = SolveRequest::new(&problem)
@@ -494,12 +494,7 @@ mod tests {
             ],
         );
         let problem = AllocationProblem::builder()
-            .kernels(
-                app.kernels()
-                    .iter()
-                    .map(crate::Kernel::from)
-                    .collect::<Vec<_>>(),
-            )
+            .kernels(app.kernels().to_vec())
             .platform(fleet)
             .budget(mfa_platform::ResourceBudget::uniform(0.7))
             .weights(GoalWeights::new(1.0, 0.7))
@@ -530,7 +525,7 @@ mod tests {
         let app = paper_data::alexnet_32bit();
         // 20 % budget cannot even hold CONV2 (37.6 % DSP per CU).
         let problem =
-            AllocationProblem::from_application(&app, 4, 0.20, GoalWeights::ii_only()).unwrap();
+            AllocationProblem::from_application(app, 4, 0.20, GoalWeights::ii_only()).unwrap();
         assert!(matches!(
             gpa_report(&problem, &GpaOptions::paper_defaults()),
             Err(AllocError::Infeasible(_))
@@ -541,7 +536,7 @@ mod tests {
     fn timing_breakdown_is_consistent() {
         let app = paper_data::alexnet_16bit();
         let problem =
-            AllocationProblem::from_application(&app, 2, 0.75, GoalWeights::new(1.0, 0.7)).unwrap();
+            AllocationProblem::from_application(app, 2, 0.75, GoalWeights::new(1.0, 0.7)).unwrap();
         let report = gpa_report(&problem, &GpaOptions::paper_defaults()).unwrap();
         let timing = report.diagnostics.timing;
         let parts = timing.relaxation + timing.discretization + timing.allocation;

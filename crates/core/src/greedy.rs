@@ -341,8 +341,8 @@ fn try_allocate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper_data;
     use crate::problem::{GoalWeights, Kernel};
-    use mfa_cnn::paper_data;
     use mfa_platform::{MultiFpgaPlatform, ResourceBudget};
     use proptest::prelude::*;
 
@@ -426,7 +426,7 @@ mod tests {
     fn alex16_counts_place_within_budget_on_two_fpgas() {
         let app = paper_data::alexnet_16bit();
         let p =
-            AllocationProblem::from_application(&app, 2, 0.65, GoalWeights::new(1.0, 0.7)).unwrap();
+            AllocationProblem::from_application(app, 2, 0.65, GoalWeights::new(1.0, 0.7)).unwrap();
         // Representative integer counts from the discretization step.
         let counts = vec![3, 1, 1, 2, 1, 4, 3, 2];
         let allocation = allocate(&p, &counts, &GreedyOptions::default()).unwrap();

@@ -28,6 +28,11 @@
 //! node budgets and the sweep skip policy as first-class request fields and
 //! returns a [`solver::SolveReport`] with structured diagnostics.
 //!
+//! The kernels the paper measured on AWS F1 (its Tables 2–3) are embedded in
+//! [`paper_data`], the inputs of every reproduced experiment; [`cases`] pairs
+//! them with the FPGA counts and goal weights of the paper's three cases
+//! (Table 4).
+//!
 //! # Quick start
 //!
 //! ```
@@ -64,6 +69,7 @@ pub mod fingerprint;
 pub mod gp_step;
 pub mod gpa;
 pub mod greedy;
+pub mod paper_data;
 mod problem;
 pub mod realloc;
 pub mod report;
@@ -71,7 +77,7 @@ mod solution;
 pub mod solver;
 
 pub use error::AllocError;
-pub use problem::{AllocationProblem, AllocationProblemBuilder, GoalWeights, Kernel};
+pub use problem::{AllocationProblem, AllocationProblemBuilder, Application, GoalWeights, Kernel};
 pub use realloc::{Incumbent, MigrationCost, MigrationOutcome, ReallocationSpec};
 pub use solution::{Allocation, AllocationMetrics};
 pub use solver::{

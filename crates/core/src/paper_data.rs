@@ -1,29 +1,24 @@
 //! The paper's measured kernel characterizations (Tables 2 and 3), embedded
 //! verbatim.
 //!
-//! These are the primary inputs to every reproduced experiment: they are the
-//! per-CU constants (`WCET_k`, BRAM %, DSP %, BW %) measured by the authors on
-//! an AWS F1 FPGA, so using them makes the optimization stage see exactly the
-//! numbers the paper's own optimizer saw. Percentages are converted to
-//! fractions.
+//! These are the inputs of every reproduced experiment: the per-CU constants
+//! (`WCET_k`, BRAM %, DSP %, BW %) the authors measured on an AWS F1 FPGA,
+//! so the optimizer sees exactly the numbers the paper's own optimizer saw.
+//! Percentages are converted to fractions, and every row is built by
+//! [`Kernel::new`], so it passes the same checks as any other kernel.
 
 use mfa_platform::ResourceVec;
 
-use crate::{Application, KernelCharacterization};
+use crate::problem::{Application, Kernel};
 
-fn kernel(
-    name: &str,
-    bram_pct: f64,
-    dsp_pct: f64,
-    bw_pct: f64,
-    wcet_ms: f64,
-) -> KernelCharacterization {
-    KernelCharacterization::new(
+fn kernel(name: &str, bram_pct: f64, dsp_pct: f64, bw_pct: f64, wcet_ms: f64) -> Kernel {
+    Kernel::new(
         name,
         wcet_ms,
         ResourceVec::bram_dsp(bram_pct / 100.0, dsp_pct / 100.0),
         bw_pct / 100.0,
     )
+    .expect("the paper's rows are valid kernels")
 }
 
 /// AlexNet, 32-bit floating point ("Alex-32", paper Table 2, left half).
@@ -93,15 +88,10 @@ pub fn vgg_16bit() -> Application {
     )
 }
 
-/// All three applications used in the paper's evaluation, in the order they
-/// appear there.
-pub fn all_applications() -> Vec<Application> {
-    vec![alexnet_32bit(), alexnet_16bit(), vgg_16bit()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cases::PaperCase;
 
     /// The "SUM" rows of Tables 2 and 3 act as checksums on the transcription.
     #[test]
@@ -167,19 +157,12 @@ mod tests {
         assert_eq!(get("CONV11").bandwidth(), get("CONV13").bandwidth());
     }
 
-    #[test]
-    fn all_applications_returns_the_three_paper_cases() {
-        let apps = all_applications();
-        let names: Vec<&str> = apps.iter().map(Application::name).collect();
-        assert_eq!(names, vec!["Alex-32", "Alex-16", "VGG"]);
-    }
-
     /// Every kernel must fit on one FPGA on its own (otherwise the model's
     /// "at least one CU per kernel" constraint could never be satisfied).
     #[test]
     fn every_kernel_fits_a_single_fpga() {
-        for app in all_applications() {
-            for k in app.kernels() {
+        for case in PaperCase::all() {
+            for k in case.application().kernels() {
                 assert!(
                     k.resources().max_component() < 1.0,
                     "{} too large",

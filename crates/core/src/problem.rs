@@ -1,6 +1,6 @@
-//! Problem formulation: kernels, platform, budgets and objective weights.
+//! Problem formulation: kernels, applications, platform, budgets and
+//! objective weights.
 
-use mfa_cnn::{Application, KernelCharacterization};
 use mfa_platform::{HeterogeneousPlatform, MultiFpgaPlatform, ResourceBudget, ResourceVec};
 
 use crate::realloc::{migration_against, MigrationOutcome, ReallocationSpec};
@@ -81,14 +81,70 @@ impl Kernel {
     }
 }
 
-impl From<&KernelCharacterization> for Kernel {
-    fn from(k: &KernelCharacterization) -> Self {
-        Kernel {
-            name: k.name().to_owned(),
-            wcet_ms: k.wcet_ms(),
-            resources: *k.resources(),
-            bandwidth: k.bandwidth(),
+/// A complete multi-kernel application: a named, ordered, linear pipeline of
+/// kernels (e.g. "Alex-16" with its eight kernels).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Application {
+    name: String,
+    kernels: Vec<Kernel>,
+}
+
+impl Application {
+    /// Creates an application from its kernel pipeline (in pipeline order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernels` is empty.
+    pub fn new(name: impl Into<String>, kernels: Vec<Kernel>) -> Self {
+        assert!(
+            !kernels.is_empty(),
+            "an application needs at least one kernel"
+        );
+        Application {
+            name: name.into(),
+            kernels,
         }
+    }
+
+    /// Application name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The kernels, in pipeline order.
+    pub fn kernels(&self) -> &[Kernel] {
+        &self.kernels
+    }
+
+    /// Number of kernels.
+    pub fn num_kernels(&self) -> usize {
+        self.kernels.len()
+    }
+
+    /// Sum of single-CU WCETs (the latency of a fully serialized pipeline with
+    /// one CU per kernel), in milliseconds.
+    pub fn total_wcet_ms(&self) -> f64 {
+        self.kernels.iter().map(Kernel::wcet_ms).sum()
+    }
+
+    /// Sum of single-CU resource fractions across all kernels (the paper's
+    /// "SUM" row).
+    pub fn total_resources(&self) -> ResourceVec {
+        self.kernels.iter().map(|k| *k.resources()).sum()
+    }
+
+    /// Sum of single-CU bandwidth fractions across all kernels.
+    pub fn total_bandwidth(&self) -> f64 {
+        self.kernels.iter().map(Kernel::bandwidth).sum()
+    }
+
+    /// The kernel with the largest single-CU WCET (the pipeline bottleneck
+    /// before any replication).
+    pub fn bottleneck(&self) -> &Kernel {
+        self.kernels
+            .iter()
+            .max_by(|a, b| a.wcet_ms().total_cmp(&b.wcet_ms()))
+            .expect("applications are never empty")
     }
 }
 
@@ -149,26 +205,21 @@ impl AllocationProblem {
         AllocationProblemBuilder::default()
     }
 
-    /// Convenience constructor for the common case: a characterized
-    /// application on `num_fpgas` FPGAs under a uniform resource constraint.
+    /// Convenience constructor for the common case: an application on
+    /// `num_fpgas` FPGAs under a uniform resource constraint. The problem
+    /// takes over the application's kernels.
     ///
     /// # Errors
     ///
     /// Propagates the same validation errors as the [builder](Self::builder).
     pub fn from_application(
-        application: &Application,
+        application: Application,
         num_fpgas: usize,
         resource_constraint: f64,
         weights: GoalWeights,
     ) -> Result<Self, AllocError> {
         AllocationProblem::builder()
-            .kernels(
-                application
-                    .kernels()
-                    .iter()
-                    .map(Kernel::from)
-                    .collect::<Vec<_>>(),
-            )
+            .kernels(application.kernels)
             .platform(MultiFpgaPlatform::aws_f1_16xlarge().with_num_fpgas(num_fpgas))
             .budget(ResourceBudget::uniform(resource_constraint))
             .weights(weights)
@@ -300,21 +351,6 @@ impl AllocationProblem {
         self.reallocation
             .as_ref()
             .is_some_and(ReallocationSpec::is_active)
-    }
-
-    /// The incumbent aligned to this problem's kernel order (one per-group
-    /// row per kernel, zeros for kernels the incumbent does not know), or
-    /// `None` when no reallocation spec is attached.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError::InvalidArgument`] when the incumbent's group
-    /// count does not match the platform's.
-    pub fn aligned_incumbent(&self) -> Result<Option<Vec<Vec<u32>>>, AllocError> {
-        match &self.reallocation {
-            Some(spec) => spec.incumbent().aligned_to(self).map(Some),
-            None => Ok(None),
-        }
     }
 
     /// Movement of per-group CU counts `groups` (`[kernel][group]`) against
@@ -610,7 +646,7 @@ impl AllocationProblemBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfa_cnn::paper_data;
+    use crate::paper_data;
 
     fn toy_kernel(name: &str, wcet: f64, dsp: f64) -> Kernel {
         Kernel::new(name, wcet, ResourceVec::bram_dsp(0.05, dsp), 0.02).unwrap()
@@ -625,6 +661,30 @@ mod tests {
         assert_eq!(k.name(), "CONV");
         assert_eq!(k.wcet_ms(), 2.0);
         assert_eq!(k.bandwidth(), 0.02);
+    }
+
+    #[test]
+    fn application_aggregates() {
+        let app = Application::new(
+            "toy",
+            vec![
+                toy_kernel("a", 3.0, 0.1),
+                toy_kernel("b", 7.0, 0.2),
+                toy_kernel("c", 5.0, 0.3),
+            ],
+        );
+        assert_eq!(app.num_kernels(), 3);
+        assert_eq!(app.total_wcet_ms(), 15.0);
+        assert!((app.total_resources().dsp - 0.6).abs() < 1e-12);
+        assert!((app.total_bandwidth() - 0.06).abs() < 1e-12);
+        assert_eq!(app.bottleneck().name(), "b");
+        assert_eq!(app.name(), "toy");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one kernel")]
+    fn empty_application_is_rejected() {
+        let _ = Application::new("empty", vec![]);
     }
 
     #[test]
@@ -644,7 +704,7 @@ mod tests {
     fn from_application_uses_paper_data() {
         let app = paper_data::alexnet_16bit();
         let p =
-            AllocationProblem::from_application(&app, 2, 0.65, GoalWeights::new(1.0, 0.7)).unwrap();
+            AllocationProblem::from_application(app, 2, 0.65, GoalWeights::new(1.0, 0.7)).unwrap();
         assert_eq!(p.num_kernels(), 8);
         assert_eq!(p.num_fpgas(), 2);
         assert!((p.budget().resource_fraction().dsp - 0.65).abs() < 1e-12);
@@ -842,7 +902,7 @@ mod tests {
     #[test]
     fn with_modifiers_return_updated_copies() {
         let app = paper_data::alexnet_32bit();
-        let p = AllocationProblem::from_application(&app, 4, 0.70, GoalWeights::ii_only()).unwrap();
+        let p = AllocationProblem::from_application(app, 4, 0.70, GoalWeights::ii_only()).unwrap();
         let tighter = p.with_resource_constraint(0.5);
         assert!((tighter.budget().resource_fraction().bram - 0.5).abs() < 1e-12);
         let weighted = p.with_weights(GoalWeights::new(1.0, 6.0));

@@ -440,11 +440,6 @@ impl Backend {
         }
     }
 
-    /// The greedy fallback with explicit options.
-    pub fn greedy_with(options: GreedyOptions) -> Self {
-        Backend::Greedy { options }
-    }
-
     /// The exact MINLP with default options (`β = 0`, unbounded search).
     pub fn exact() -> Self {
         Backend::Exact {
@@ -926,7 +921,7 @@ pub(crate) fn place_hint(
 mod tests {
     use super::*;
     use crate::cases::PaperCase;
-    use mfa_cnn::paper_data;
+    use crate::paper_data;
     use mfa_platform::{MultiFpgaPlatform, ResourceBudget, ResourceVec};
 
     fn alex16(constraint: f64) -> AllocationProblem {
@@ -1225,7 +1220,7 @@ mod tests {
     fn vgg_dual_warm_start_cuts_barrier_effort() {
         let vgg = |constraint: f64| {
             AllocationProblem::from_application(
-                &paper_data::vgg_16bit(),
+                paper_data::vgg_16bit(),
                 8,
                 constraint,
                 crate::problem::GoalWeights::ii_only(),
@@ -1487,7 +1482,7 @@ mod tests {
         // node cap matches the quick figure preset for Fig. 5.
         let app = paper_data::vgg_16bit();
         let problem = AllocationProblem::from_application(
-            &app,
+            app,
             8,
             0.80,
             crate::problem::GoalWeights::ii_only(),

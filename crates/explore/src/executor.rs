@@ -839,6 +839,44 @@ mod tests {
     }
 
     #[test]
+    fn exact_sweep_skips_budget_exhausted_points_unless_strict() {
+        use mfa_alloc::solver::SkipPolicy;
+        use mfa_alloc::AllocError;
+        use mfa_minlp::MinlpError;
+        // Four nodes are too few for the VGG MINLP to find an incumbent.
+        let grid = |policy| {
+            SweepGrid::builder()
+                .case(CaseSpec::from_paper(PaperCase::VggOnEightFpgas))
+                .fpga_counts([8])
+                .constraints([0.61])
+                .backend(SolverSpec::exact(ExactOptions {
+                    solver: SolverOptions {
+                        max_nodes: 4,
+                        time_limit_seconds: None,
+                        ..SolverOptions::default()
+                    },
+                    ..ExactOptions::default()
+                }))
+                .skip_policy(policy)
+                .build()
+                .unwrap()
+        };
+        let series = run_sweep(&grid(SkipPolicy::Lenient), &ExecutorOptions::serial()).unwrap();
+        assert!(series[0].points.is_empty());
+        let err = run_sweep(&grid(SkipPolicy::Strict), &ExecutorOptions::serial()).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ExploreError::Solver {
+                    source: AllocError::Minlp(MinlpError::NodeLimitWithoutSolution { nodes: 4 }),
+                    ..
+                }
+            ),
+            "expected a node-limit sweep abort, got {err}"
+        );
+    }
+
+    #[test]
     fn infeasible_points_are_absent_not_fatal() {
         let grid = SweepGrid::builder()
             .case(CaseSpec::from_paper(PaperCase::Alex32OnFourFpgas))

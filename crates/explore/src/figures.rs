@@ -22,11 +22,8 @@ use mfa_alloc::gpa::GpaOptions;
 use mfa_alloc::greedy::GreedyOptions;
 use mfa_alloc::report::utilization_breakdown;
 use mfa_alloc::solver::{SolveReport, SolveRequest};
-use mfa_alloc::{AllocError, AllocationProblem};
-use mfa_cnn::characterize::{characterize_network, CuConfig};
-use mfa_cnn::{paper_data, Application, CnnNetwork, Precision};
+use mfa_alloc::{paper_data, AllocError, AllocationProblem, Application};
 use mfa_minlp::SolverOptions;
-use mfa_platform::FpgaDevice;
 
 use crate::grid::{constraint_grid, CaseSpec, SolverSpec, SweepGrid};
 use crate::ExploreError;
@@ -241,8 +238,7 @@ pub fn hetero_smoke() -> Result<FigureSpec, ExploreError> {
 /// The paper's tables as one deterministic text report, one section each:
 ///
 /// * Tables 2 and 3: the measured kernel characterizations of Alex-32,
-///   Alex-16 and VGG, followed by the analytic estimator's rows for the
-///   same networks on a VU9P;
+///   Alex-16 and VGG ([`paper_data`]);
 /// * Table 4: α and β per case, and GP+A's II, φ and goal at the middle of
 ///   each case's constraint range;
 /// * Fig. 6: each FPGA's per-kernel share of the critical resource for VGG
@@ -263,20 +259,10 @@ pub fn hetero_smoke() -> Result<FigureSpec, ExploreError> {
 pub fn paper_tables(quick: bool, exact: bool) -> Result<String, ExploreError> {
     let measured =
         |table, app: Application| characterization(&format!("{table} (paper, measured)"), &app);
-    let device = FpgaDevice::vu9p();
-    let estimated = |table, network: &CnnNetwork, precision, name: &str| {
-        let kernels = characterize_network(network, precision, &CuConfig::default(), &device);
-        let title = format!("{table} (analytic estimator, VU9P)");
-        characterization(&title, &Application::new(name, kernels))
-    };
-    let (alexnet, vgg16) = (CnnNetwork::alexnet(), CnnNetwork::vgg16());
     let mut sections = vec![
         measured("Table 2", paper_data::alexnet_32bit()),
         measured("Table 2", paper_data::alexnet_16bit()),
-        estimated("Table 2", &alexnet, Precision::Float32, "AlexNet fp32"),
-        estimated("Table 2", &alexnet, Precision::Fixed16, "AlexNet fx16"),
         measured("Table 3", paper_data::vgg_16bit()),
-        estimated("Table 3", &vgg16, Precision::Fixed16, "VGG16 fx16"),
     ];
     sections.push(table4()?);
     sections.push(figure6(quick, exact)?);

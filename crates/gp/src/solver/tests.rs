@@ -512,9 +512,9 @@ fn paper_shaped_gp(
 #[test]
 fn paper_cases_match_the_reference_evaluation() {
     let cases = [
-        (mfa_cnn::paper_data::alexnet_16bit(), 2.0, [0.55, 0.85]),
-        (mfa_cnn::paper_data::alexnet_32bit(), 4.0, [0.65, 0.75]),
-        (mfa_cnn::paper_data::vgg_16bit(), 8.0, [0.55, 0.80]),
+        (mfa_alloc::paper_data::alexnet_16bit(), 2.0, [0.55, 0.85]),
+        (mfa_alloc::paper_data::alexnet_32bit(), 4.0, [0.65, 0.75]),
+        (mfa_alloc::paper_data::vgg_16bit(), 8.0, [0.55, 0.80]),
     ];
     for (app, fpgas, budgets) in cases {
         let kernels: Vec<KernelRow> = app

@@ -1,5 +1,5 @@
-//! Whole-flow integration tests spanning the characterization, optimization,
-//! allocation and simulation crates.
+//! Whole-flow integration tests spanning the paper's measured kernels, the
+//! optimization, allocation and simulation crates.
 
 use mfa_alloc::cases::PaperCase;
 use mfa_alloc::exact::{ExactMode, ExactOptions};
@@ -7,12 +7,8 @@ use mfa_alloc::gp_step::{self, RelaxationBackend};
 use mfa_alloc::gpa::GpaOptions;
 use mfa_alloc::report::utilization_breakdown;
 use mfa_alloc::solver::{Backend, SolveRequest};
-use mfa_alloc::{AllocationProblem, GoalWeights};
-use mfa_cnn::characterize::{characterize_network, CuConfig};
-use mfa_cnn::{CnnNetwork, Precision};
 use mfa_explore::{constraint_grid, run_sweep, CaseSpec, ExecutorOptions, SolverSpec, SweepGrid};
 use mfa_minlp::SolverOptions;
-use mfa_platform::FpgaDevice;
 use mfa_sim::{simulate, SimConfig};
 
 /// Every paper case runs through the full GP+A heuristic and produces a
@@ -86,28 +82,6 @@ fn exact_and_heuristic_are_consistent_on_alex16() {
             "heuristic {ii_h} vs exact {ii_e}"
         );
     }
-}
-
-/// The characterization flow (network → analytic estimator → allocation)
-/// composes with the optimizer even though the experiments use the measured
-/// tables.
-#[test]
-fn estimated_characterization_feeds_the_allocator() {
-    let device = FpgaDevice::vu9p();
-    let network = CnnNetwork::alexnet();
-    let kernels = characterize_network(&network, Precision::Fixed16, &CuConfig::default(), &device);
-    let app = mfa_cnn::Application::new("AlexNet fx16 (estimated)", kernels);
-    let problem = AllocationProblem::from_application(&app, 2, 0.80, GoalWeights::new(1.0, 0.7))
-        .expect("problem builds");
-    let outcome = SolveRequest::new(&problem)
-        .backend(Backend::gpa_fast())
-        .solve()
-        .expect("heuristic solves");
-    outcome
-        .allocation
-        .validate(&problem, 1e-9)
-        .expect("feasible");
-    assert!(outcome.allocation.initiation_interval(&problem) > 0.0);
 }
 
 /// The simulator reproduces the analytic II for the allocations produced by

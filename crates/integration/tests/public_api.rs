@@ -14,9 +14,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Library source roots covered by the snapshot, relative to `crates/`.
-const CRATES: [&str; 12] = [
-    "cnn", "core", "dispatch", "explore", "gp", "linalg", "linprog", "minlp", "platform", "serve",
-    "sim", "storenet",
+const CRATES: [&str; 11] = [
+    "core", "dispatch", "explore", "gp", "linalg", "linprog", "minlp", "platform", "serve", "sim",
+    "storenet",
 ];
 
 /// The declaration keywords worth snapshotting. `pub use` re-exports are

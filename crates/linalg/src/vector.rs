@@ -72,11 +72,6 @@ impl Vector {
         &mut self.data
     }
 
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_inner(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Dot product with another vector.
     ///
     /// # Errors

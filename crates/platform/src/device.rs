@@ -88,11 +88,6 @@ impl FpgaDevice {
     pub fn dram_bandwidth_gbps(&self) -> f64 {
         self.dram_bandwidth_gbps
     }
-
-    /// Converts an absolute usage into a fraction of this device's capacity.
-    pub fn utilization(&self, usage: &ResourceVec) -> ResourceVec {
-        usage.fraction_of(&self.capacity)
-    }
 }
 
 impl Default for FpgaDevice {
@@ -126,15 +121,6 @@ mod tests {
         assert!(d.capacity().lut < vu9p.capacity().lut);
         assert_eq!(d.capacity().bram, vu9p.capacity().bram);
         assert!(d.dram_bandwidth_gbps() < vu9p.dram_bandwidth_gbps());
-    }
-
-    #[test]
-    fn utilization_is_relative_to_capacity() {
-        let d = FpgaDevice::vu9p();
-        let usage = ResourceVec::bram_dsp(216.0, 684.0);
-        let u = d.utilization(&usage);
-        assert!((u.bram - 0.1).abs() < 1e-12);
-        assert!((u.dsp - 0.1).abs() < 1e-12);
     }
 
     #[test]

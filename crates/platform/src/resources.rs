@@ -78,24 +78,6 @@ impl ResourceVec {
             && self.dsp <= other.dsp + tol
     }
 
-    /// Component-wise division (used to turn absolute usage into utilization
-    /// relative to a capacity). Components whose divisor is zero map to zero.
-    pub fn fraction_of(&self, capacity: &ResourceVec) -> ResourceVec {
-        fn div(a: f64, b: f64) -> f64 {
-            if b == 0.0 {
-                0.0
-            } else {
-                a / b
-            }
-        }
-        ResourceVec {
-            lut: div(self.lut, capacity.lut),
-            ff: div(self.ff, capacity.ff),
-            bram: div(self.bram, capacity.bram),
-            dsp: div(self.dsp, capacity.dsp),
-        }
-    }
-
     /// Component-wise maximum.
     pub fn max(&self, other: &ResourceVec) -> ResourceVec {
         ResourceVec {
@@ -243,10 +225,6 @@ mod tests {
         let capacity = ResourceVec::new(100.0, 100.0, 100.0, 100.0);
         assert!(usage.fits_within(&capacity, 0.0));
         assert!(!capacity.fits_within(&usage, 0.0));
-        let frac = usage.fraction_of(&capacity);
-        assert!((frac.dsp - 0.4).abs() < 1e-12);
-        let zero_cap = ResourceVec::zero();
-        assert_eq!(usage.fraction_of(&zero_cap), ResourceVec::zero());
     }
 
     #[test]

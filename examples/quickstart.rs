@@ -12,8 +12,9 @@ use mfa_platform::{MultiFpgaPlatform, ResourceBudget, ResourceVec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A toy task-level pipeline: decode → detect → track → encode.
-    // Per-CU figures are fractions of one FPGA (as produced by an HLS
-    // characterization run or by `mfa_cnn::characterize`).
+    // Per-CU figures are fractions of one FPGA (as measured by an HLS
+    // characterization run, like the paper's Tables 2–3 in
+    // `mfa_alloc::paper_data`).
     let kernels = vec![
         Kernel::new("decode", 2.0, ResourceVec::bram_dsp(0.04, 0.06), 0.05)?,
         Kernel::new("detect", 9.0, ResourceVec::bram_dsp(0.08, 0.22), 0.03)?,

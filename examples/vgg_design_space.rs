@@ -11,13 +11,12 @@ use std::time::Instant;
 
 use mfa::explore::{constraint_grid, run_sweep, CaseSpec, ExecutorOptions, SolverSpec, SweepGrid};
 use mfa_alloc::gpa::GpaOptions;
-use mfa_alloc::{AllocationProblem, GoalWeights};
-use mfa_cnn::paper_data;
+use mfa_alloc::{paper_data, AllocationProblem, GoalWeights};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = paper_data::vgg_16bit();
     let constraints = constraint_grid(0.55, 0.80, 6)?;
-    let base = AllocationProblem::from_application(&app, 8, 0.61, GoalWeights::new(1.0, 50.0))?;
+    let base = AllocationProblem::from_application(app, 8, 0.61, GoalWeights::new(1.0, 50.0))?;
     let grid = SweepGrid::builder()
         .case(CaseSpec::new("VGG-16", base))
         .fpga_counts(2..=8)
