@@ -40,11 +40,6 @@ impl Fingerprint {
         Fingerprint(raw)
     }
 
-    /// The raw 128-bit value.
-    pub const fn as_raw(self) -> u128 {
-        self.0
-    }
-
     /// Renders the fingerprint as 32 lowercase hex digits.
     pub fn to_hex(self) -> String {
         format!("{:032x}", self.0)

@@ -40,7 +40,7 @@
 //! paper's toolchain.
 
 use mfa_gp::{GpDualState, GpProblem, Monomial, Posynomial};
-use mfa_linprog::{LpError, LpProblem, Relation, Sense, SimplexOptions};
+use mfa_linprog::{LpError, LpProblem, Relation, Sense};
 
 use crate::problem::AllocationProblem;
 use crate::realloc::ReallocContext;
@@ -269,7 +269,7 @@ pub(crate) fn budgets_allow(
 /// aggregated resource and bandwidth budgets, or `Ok(None)` when no split
 /// exists. The multi-resource transportation feasibility problem is solved
 /// with the [`mfa_linprog`] two-phase simplex (deterministic, so sweeps stay
-/// reproducible) under the default [`SimplexOptions`] pivot budget; pivots
+/// reproducible) under its pivot budget ([`LpProblem::solve`]); pivots
 /// spent are added to `pivots` either way. Kernels that cannot be hosted on
 /// a group (a resource class the device lacks) get no variable there.
 ///
@@ -398,7 +398,7 @@ pub(crate) fn distribute_over_groups(
             )?;
         }
     }
-    let solution = lp.solve_with(&SimplexOptions::default()).map_err(|err| {
+    let solution = lp.solve().map_err(|err| {
         if let LpError::PivotBudgetExceeded { pivots: spent } = &err {
             *pivots += spent;
         }

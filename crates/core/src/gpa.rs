@@ -26,8 +26,8 @@ use crate::solver::{
 };
 use crate::AllocError;
 
-/// Conventional label of the GP+A pipeline, shared by the backend registry,
-/// the trait impl and the report so the three cannot drift.
+/// Conventional label of the GP+A pipeline, shared by the backend registry
+/// and the report so the two cannot drift.
 pub(crate) const GPA_LABEL: &str = "GP+A";
 
 /// Options of the GP+A heuristic.
@@ -82,12 +82,11 @@ pub(crate) fn run_pipeline(
 
     check_deadline(deadline, "relaxation")?;
     let relaxation_start = Instant::now();
-    let dual_hint = warm.gp_dual.as_ref().map(mfa_gp::GpDualState::from);
     let (relaxation, relax_stats) = gp_step::relax_hinted(
         problem,
         options.relaxation_backend,
         warm.relaxed_ii_ms,
-        dual_hint.as_ref(),
+        warm.gp_dual.as_ref(),
     )?;
     let relaxation_time = relaxation_start.elapsed();
 
@@ -134,10 +133,7 @@ pub(crate) fn run_pipeline(
             barrier_iterations: relax_stats.barrier_iterations,
             factorizations: relax_stats.factorizations,
             simplex_pivots: relax_stats.simplex_pivots,
-            gp_dual: relax_stats
-                .dual_state
-                .as_ref()
-                .map(crate::solver::DualWarmStart::from),
+            gp_dual: relax_stats.dual_state,
             warm_start: WarmStartReport {
                 ii_hint_used: relax_stats.hint_used,
                 dual_hint_used: relax_stats.dual_hint_used,

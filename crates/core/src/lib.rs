@@ -81,6 +81,6 @@ pub use problem::{AllocationProblem, AllocationProblemBuilder, Application, Goal
 pub use realloc::{Incumbent, MigrationCost, MigrationOutcome, ReallocationSpec};
 pub use solution::{Allocation, AllocationMetrics};
 pub use solver::{
-    Backend, Deadline, DualWarmStart, SkipPolicy, SolveDiagnostics, SolveReport, SolveRequest,
-    SolverBackend, StageTiming, WarmStart, WarmStartReport,
+    Backend, Deadline, SkipPolicy, SolveDiagnostics, SolveReport, SolveRequest, StageTiming,
+    WarmStart, WarmStartReport,
 };

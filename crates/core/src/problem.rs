@@ -423,15 +423,6 @@ impl AllocationProblem {
         }
     }
 
-    /// Returns a copy of the problem with different objective weights.
-    #[must_use]
-    pub fn with_weights(&self, weights: GoalWeights) -> Self {
-        AllocationProblem {
-            weights,
-            ..self.clone()
-        }
-    }
-
     /// Returns a copy of the problem with a different (or no) reallocation
     /// spec — `None` turns a re-solve back into a static solve.
     #[must_use]
@@ -905,8 +896,6 @@ mod tests {
         let p = AllocationProblem::from_application(app, 4, 0.70, GoalWeights::ii_only()).unwrap();
         let tighter = p.with_resource_constraint(0.5);
         assert!((tighter.budget().resource_fraction().bram - 0.5).abs() < 1e-12);
-        let weighted = p.with_weights(GoalWeights::new(1.0, 6.0));
-        assert_eq!(weighted.weights().beta, 6.0);
         let bigger = p.with_num_fpgas(8);
         assert_eq!(bigger.num_fpgas(), 8);
         // Original unchanged.

@@ -9,9 +9,6 @@
 //! [`SolveDiagnostics`]: relaxation gap, dropped CUs, branch-and-bound nodes,
 //! per-stage timing, and the [`WarmStartReport`] provenance of the hints.
 //!
-//! Custom engines implement [`SolverBackend`] (object safe) and run through
-//! [`SolveRequest::solve_with`].
-//!
 //! # Example
 //!
 //! ```
@@ -51,6 +48,11 @@ use crate::greedy::{self, GreedyOptions};
 use crate::problem::AllocationProblem;
 use crate::solution::Allocation;
 use crate::AllocError;
+
+/// Dual warm-start state of a GP relaxation: the final barrier parameter `t`
+/// and the constraint multiplier estimates of the producing solve, carried
+/// between neighbouring solves by [`WarmStart::gp_dual`].
+pub use mfa_gp::GpDualState;
 
 // ---------------------------------------------------------------------------
 // Deadlines.
@@ -182,7 +184,7 @@ pub struct WarmStart {
     /// Final (post-drop) integer CU counts of the neighbouring solve.
     pub cu_counts: Option<Vec<u32>>,
     /// Dual state of the neighbouring solve's GP relaxation, if it ran one.
-    pub gp_dual: Option<DualWarmStart>,
+    pub gp_dual: Option<GpDualState>,
 }
 
 impl WarmStart {
@@ -207,7 +209,7 @@ impl WarmStart {
 
     /// Sets the GP dual-state hint.
     #[must_use]
-    pub fn with_gp_dual(mut self, dual: DualWarmStart) -> Self {
+    pub fn with_gp_dual(mut self, dual: GpDualState) -> Self {
         self.gp_dual = Some(dual);
         self
     }
@@ -225,42 +227,6 @@ impl From<&SolveReport> for WarmStart {
             relaxed_ii_ms: report.diagnostics.relaxed_ii_ms,
             cu_counts: Some(report.diagnostics.cu_counts.clone()),
             gp_dual: report.diagnostics.gp_dual.clone(),
-        }
-    }
-}
-
-/// Dual warm-start state of a GP relaxation: the final barrier parameter `t`
-/// and the constraint multiplier estimates `λ_i = 1/(t·s_i)` of the
-/// producing solve, in that solve's explicit-constraint order.
-///
-/// Carried between neighbouring sweep points by [`WarmStart::gp_dual`] and
-/// the explore layer's warm-start cache. Consumed only together with an
-/// accepted `relaxed_ii_ms` primal seed; the GP solver validates the state
-/// (length, sign, finiteness, positive slack at the seed) and silently falls
-/// back to the primal-only warm start when anything is off, so a stale dual
-/// can cost barrier iterations but never changes the optimum.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DualWarmStart {
-    /// Final barrier parameter `t` of the producing solve.
-    pub barrier_t: f64,
-    /// Multiplier estimates for the explicit constraints, in model order.
-    pub duals: Vec<f64>,
-}
-
-impl From<&mfa_gp::GpDualState> for DualWarmStart {
-    fn from(state: &mfa_gp::GpDualState) -> Self {
-        DualWarmStart {
-            barrier_t: state.barrier_t,
-            duals: state.duals.clone(),
-        }
-    }
-}
-
-impl From<&DualWarmStart> for mfa_gp::GpDualState {
-    fn from(state: &DualWarmStart) -> Self {
-        mfa_gp::GpDualState {
-            barrier_t: state.barrier_t,
-            duals: state.duals.clone(),
         }
     }
 }
@@ -382,12 +348,11 @@ impl SkipPolicy {
 // Backends.
 
 /// Conventional label of the greedy fallback, shared by the registry and the
-/// trait impl so the two cannot drift (see `gpa::GPA_LABEL`).
+/// report so the two cannot drift (see `gpa::GPA_LABEL`).
 pub(crate) const GREEDY_LABEL: &str = "Greedy";
 
-/// The built-in backend registry. Each variant names one solution path and
-/// carries its options; [`Backend::instantiate`] turns it into the matching
-/// [`SolverBackend`] implementation.
+/// The backend registry. Each variant names one solution path and carries
+/// its options.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Backend {
     /// The paper's GP+A heuristic: continuous relaxation (GP interior point
@@ -461,42 +426,6 @@ impl Backend {
             Backend::Exact { options } => options.mode.label(),
         }
     }
-
-    /// Resolves the variant to its [`SolverBackend`] implementation.
-    pub fn instantiate(&self) -> Box<dyn SolverBackend> {
-        match self {
-            Backend::Gpa { options } => Box::new(GpaBackend {
-                options: options.clone(),
-            }),
-            Backend::Greedy { options } => Box::new(GreedyBackend {
-                options: options.clone(),
-            }),
-            Backend::Exact { options } => Box::new(ExactBackend {
-                options: options.clone(),
-            }),
-        }
-    }
-}
-
-/// An allocation engine that can serve a [`SolveRequest`]. Object safe, so
-/// registries of heterogeneous engines (`Vec<Box<dyn SolverBackend>>`) work;
-/// the built-in implementations are reached through [`Backend`].
-///
-/// Implementations must honour the request's [`Deadline`] (returning
-/// [`AllocError::DeadlineExceeded`] rather than overrunning), consume the
-/// [`WarmStart`] hints they understand, and report what they did in the
-/// [`SolveDiagnostics`].
-pub trait SolverBackend {
-    /// Human-readable engine name (used as [`SolveReport::backend`]).
-    fn name(&self) -> &str;
-
-    /// Serves one request.
-    ///
-    /// # Errors
-    ///
-    /// Infeasibility, placement failure, deadline exhaustion and solver
-    /// failures; see [`AllocError`].
-    fn solve(&self, request: &SolveRequest<'_>) -> Result<SolveReport, AllocError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -570,31 +499,6 @@ impl<'p> SolveRequest<'p> {
         self.problem
     }
 
-    /// The selected backend.
-    pub fn backend_spec(&self) -> &Backend {
-        &self.backend
-    }
-
-    /// The warm-start hints.
-    pub fn warm_start_hints(&self) -> &WarmStart {
-        &self.warm_start
-    }
-
-    /// The deadline, if any.
-    pub fn deadline_spec(&self) -> Option<&Deadline> {
-        self.deadline.as_ref()
-    }
-
-    /// The request-level node budget, if any.
-    pub fn node_budget_spec(&self) -> Option<usize> {
-        self.node_budget
-    }
-
-    /// The skip policy.
-    pub fn skip_policy_spec(&self) -> SkipPolicy {
-        self.skip_policy
-    }
-
     /// Serves the request with the selected [`Backend`].
     ///
     /// # Errors
@@ -603,30 +507,24 @@ impl<'p> SolveRequest<'p> {
     /// when the deadline is exhausted (checked before any work starts and at
     /// every stage boundary), and solver failures.
     pub fn solve(&self) -> Result<SolveReport, AllocError> {
-        check_deadline(self.deadline.as_ref(), "request admission")?;
-        self.backend
-            .instantiate()
-            .solve(self)
-            .map(|report| self.fill_migration_diagnostics(report))
-    }
-
-    /// Serves the request with a caller-provided engine instead of the
-    /// built-in registry.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`solve`](Self::solve).
-    pub fn solve_with(&self, backend: &dyn SolverBackend) -> Result<SolveReport, AllocError> {
-        check_deadline(self.deadline.as_ref(), "request admission")?;
-        backend
-            .solve(self)
-            .map(|report| self.fill_migration_diagnostics(report))
+        let deadline = self.deadline.as_ref();
+        check_deadline(deadline, "request admission")?;
+        let (problem, warm) = (self.problem, &self.warm_start);
+        let report = match &self.backend {
+            Backend::Gpa { options } => {
+                gpa::run_pipeline(problem, options, warm, deadline, self.node_budget)
+            }
+            Backend::Greedy { options } => solve_greedy(problem, options, warm, deadline),
+            Backend::Exact { options } => {
+                exact::run(problem, options, warm, deadline, self.node_budget)
+            }
+        }?;
+        Ok(self.fill_migration_diagnostics(report))
     }
 
     /// Fills [`SolveDiagnostics::moved_cus`]/
     /// [`SolveDiagnostics::migration_cost`] from the problem's reallocation
-    /// spec — centrally, so every backend (including custom ones) reports
-    /// movement uniformly.
+    /// spec — centrally, so every backend reports movement uniformly.
     fn fill_migration_diagnostics(&self, mut report: SolveReport) -> SolveReport {
         if self.problem.reallocation().is_some() {
             let outcome = self.problem.migration_of(&report.allocation);
@@ -710,16 +608,14 @@ pub struct SolveDiagnostics {
     /// CUs the returned placement newly configures relative to the problem's
     /// incumbent (group-granular; zero when no
     /// [`ReallocationSpec`](crate::realloc::ReallocationSpec) is attached).
-    /// Filled centrally by [`SolveRequest::solve`]/
-    /// [`solve_with`](SolveRequest::solve_with), so custom backends get it
-    /// for free.
+    /// Filled centrally by [`SolveRequest::solve`] for every backend.
     pub moved_cus: u32,
     /// The unweighted migration cost `Σ_g c_g · moved_g` of the returned
     /// placement (zero when no reallocation spec is attached).
     pub migration_cost: f64,
     /// Dual state of the GP relaxation, offered to neighbouring solves via
     /// [`WarmStart::gp_dual`]. `None` when no GP relaxation ran.
-    pub gp_dual: Option<DualWarmStart>,
+    pub gp_dual: Option<GpDualState>,
     /// Which warm-start hints the solve actually consumed.
     pub warm_start: WarmStartReport,
     /// Label of the backend the caller originally requested, when a serving
@@ -765,134 +661,82 @@ impl SolveReport {
 }
 
 // ---------------------------------------------------------------------------
-// Built-in backend implementations.
-
-/// [`Backend::Gpa`]: the full GP+A pipeline.
-struct GpaBackend {
-    options: GpaOptions,
-}
-
-impl SolverBackend for GpaBackend {
-    fn name(&self) -> &str {
-        gpa::GPA_LABEL
-    }
-
-    fn solve(&self, request: &SolveRequest<'_>) -> Result<SolveReport, AllocError> {
-        gpa::run_pipeline(
-            request.problem(),
-            &self.options,
-            request.warm_start_hints(),
-            request.deadline_spec(),
-            request.node_budget_spec(),
-        )
-    }
-}
+// The greedy backend.
 
 /// [`Backend::Greedy`]: bisection relaxation, floor rounding, greedy
 /// placement — no discretization search.
-struct GreedyBackend {
-    options: GreedyOptions,
-}
+fn solve_greedy(
+    problem: &AllocationProblem,
+    options: &GreedyOptions,
+    warm: &WarmStart,
+    deadline: Option<&Deadline>,
+) -> Result<SolveReport, AllocError> {
+    let start = Instant::now();
+    problem.validate_feasibility()?;
 
-impl SolverBackend for GreedyBackend {
-    fn name(&self) -> &str {
-        GREEDY_LABEL
-    }
+    check_deadline(deadline, "greedy relaxation")?;
+    let relaxation_start = Instant::now();
+    let (relaxation, stats) = crate::gp_step::relax_hinted(
+        problem,
+        RelaxationBackend::Bisection,
+        warm.relaxed_ii_ms,
+        None,
+    )?;
+    let relaxation_time = relaxation_start.elapsed();
 
-    fn solve(&self, request: &SolveRequest<'_>) -> Result<SolveReport, AllocError> {
-        let problem = request.problem();
-        let warm = request.warm_start_hints();
-        let deadline = request.deadline_spec();
-        let start = Instant::now();
-        problem.validate_feasibility()?;
-
-        check_deadline(deadline, "greedy relaxation")?;
-        let relaxation_start = Instant::now();
-        let (relaxation, stats) = crate::gp_step::relax_hinted(
-            problem,
-            RelaxationBackend::Bisection,
-            warm.relaxed_ii_ms,
-            None,
-        )?;
-        let relaxation_time = relaxation_start.elapsed();
-
-        // Floor the fractional counts (never below one CU). Floors of a
-        // budget-feasible fractional point stay budget-feasible, so the drop
-        // loop below only ever fires on bin-packing failures.
-        check_deadline(deadline, "greedy placement")?;
-        let cu_counts: Vec<u32> = relaxation
-            .cu_counts
-            .iter()
-            .map(|&n| (n.floor() as u32).max(1))
+    // Floor the fractional counts (never below one CU). Floors of a
+    // budget-feasible fractional point stay budget-feasible, so the drop
+    // loop below only ever fires on bin-packing failures.
+    check_deadline(deadline, "greedy placement")?;
+    let cu_counts: Vec<u32> = relaxation
+        .cu_counts
+        .iter()
+        .map(|&n| (n.floor() as u32).max(1))
+        .collect();
+    let allocation_start = Instant::now();
+    let (allocation, mut cu_counts, dropped_cus) =
+        gpa::place_with_drops(problem, cu_counts, options, deadline)?;
+    let allocation = gpa::snap_to_incumbent(problem, allocation)?;
+    if problem.migration_active() {
+        cu_counts = (0..allocation.num_kernels())
+            .map(|k| allocation.total_cus(k))
             .collect();
-        let allocation_start = Instant::now();
-        let (allocation, mut cu_counts, dropped_cus) =
-            gpa::place_with_drops(problem, cu_counts, &self.options, deadline)?;
-        let allocation = gpa::snap_to_incumbent(problem, allocation)?;
-        if problem.migration_active() {
-            cu_counts = (0..allocation.num_kernels())
-                .map(|k| allocation.total_cus(k))
-                .collect();
-        }
-        let allocation_time = allocation_start.elapsed();
+    }
+    let allocation_time = allocation_start.elapsed();
 
-        let achieved = allocation.initiation_interval(problem);
-        let relaxed = relaxation.initiation_interval_ms;
-        Ok(SolveReport {
-            allocation,
-            backend: self.name().to_owned(),
-            diagnostics: SolveDiagnostics {
-                relaxed_ii_ms: Some(relaxed),
-                relaxation_gap: Some(
-                    (achieved - relaxed).max(0.0) / relaxed.max(f64::MIN_POSITIVE),
-                ),
-                proven_optimal: None,
-                cu_counts,
-                dropped_cus,
-                bb_nodes: 0,
-                relaxation_iterations: stats.iterations,
-                barrier_iterations: stats.barrier_iterations,
-                factorizations: stats.factorizations,
-                simplex_pivots: stats.simplex_pivots,
-                moved_cus: 0,
-                migration_cost: 0.0,
-                gp_dual: stats.dual_state.as_ref().map(DualWarmStart::from),
-                warm_start: WarmStartReport {
-                    ii_hint_used: stats.hint_used,
-                    dual_hint_used: stats.dual_hint_used,
-                    incumbent_used: false,
-                },
-                degraded_from: None,
-                timing: StageTiming {
-                    total: start.elapsed(),
-                    relaxation: relaxation_time,
-                    discretization: Duration::ZERO,
-                    allocation: allocation_time,
-                },
+    let achieved = allocation.initiation_interval(problem);
+    let relaxed = relaxation.initiation_interval_ms;
+    Ok(SolveReport {
+        allocation,
+        backend: GREEDY_LABEL.to_owned(),
+        diagnostics: SolveDiagnostics {
+            relaxed_ii_ms: Some(relaxed),
+            relaxation_gap: Some((achieved - relaxed).max(0.0) / relaxed.max(f64::MIN_POSITIVE)),
+            proven_optimal: None,
+            cu_counts,
+            dropped_cus,
+            bb_nodes: 0,
+            relaxation_iterations: stats.iterations,
+            barrier_iterations: stats.barrier_iterations,
+            factorizations: stats.factorizations,
+            simplex_pivots: stats.simplex_pivots,
+            moved_cus: 0,
+            migration_cost: 0.0,
+            gp_dual: stats.dual_state,
+            warm_start: WarmStartReport {
+                ii_hint_used: stats.hint_used,
+                dual_hint_used: stats.dual_hint_used,
+                incumbent_used: false,
             },
-        })
-    }
-}
-
-/// [`Backend::Exact`]: the full MINLP by branch-and-bound.
-struct ExactBackend {
-    options: ExactOptions,
-}
-
-impl SolverBackend for ExactBackend {
-    fn name(&self) -> &str {
-        self.options.mode.label()
-    }
-
-    fn solve(&self, request: &SolveRequest<'_>) -> Result<SolveReport, AllocError> {
-        exact::run(
-            request.problem(),
-            &self.options,
-            request.warm_start_hints(),
-            request.deadline_spec(),
-            request.node_budget_spec(),
-        )
-    }
+            degraded_from: None,
+            timing: StageTiming {
+                total: start.elapsed(),
+                relaxation: relaxation_time,
+                discretization: Duration::ZERO,
+                allocation: allocation_time,
+            },
+        },
+    })
 }
 
 /// Derives the integer CU counts of an allocation, kernel-major — used to
@@ -932,17 +776,17 @@ mod tests {
     fn request_defaults_and_accessors() {
         let problem = alex16(0.70);
         let request = SolveRequest::new(&problem);
-        assert_eq!(request.backend_spec().label(), "GP+A");
-        assert!(request.warm_start_hints().is_empty());
-        assert!(request.deadline_spec().is_none());
-        assert_eq!(request.skip_policy_spec(), SkipPolicy::Lenient);
+        assert_eq!(request.backend.label(), "GP+A");
+        assert!(request.warm_start.is_empty());
+        assert!(request.deadline.is_none());
+        assert_eq!(request.skip_policy, SkipPolicy::Lenient);
         let request = request
             .backend(Backend::exact())
             .node_budget(7)
             .skip_policy(SkipPolicy::Strict);
-        assert_eq!(request.backend_spec().label(), "MINLP");
-        assert_eq!(request.node_budget_spec(), Some(7));
-        assert_eq!(request.skip_policy_spec(), SkipPolicy::Strict);
+        assert_eq!(request.backend.label(), "MINLP");
+        assert_eq!(request.node_budget, Some(7));
+        assert_eq!(request.skip_policy, SkipPolicy::Strict);
     }
 
     #[test]
@@ -1314,50 +1158,6 @@ mod tests {
         assert!(report.diagnostics.bb_nodes <= 5);
         assert!(report.diagnostics.proven_optimal.is_some());
         assert!(report.diagnostics.relaxation_gap.unwrap() >= 0.0);
-    }
-
-    #[test]
-    fn custom_backends_run_through_solve_with() {
-        /// A toy engine that always places one CU per kernel.
-        struct OnePerKernel;
-        impl SolverBackend for OnePerKernel {
-            fn name(&self) -> &str {
-                "one-per-kernel"
-            }
-            fn solve(&self, request: &SolveRequest<'_>) -> Result<SolveReport, AllocError> {
-                let problem = request.problem();
-                let counts = vec![1u32; problem.num_kernels()];
-                let allocation = greedy::allocate(problem, &counts, &GreedyOptions::default())?;
-                Ok(SolveReport {
-                    allocation,
-                    backend: self.name().to_owned(),
-                    diagnostics: SolveDiagnostics {
-                        relaxed_ii_ms: None,
-                        relaxation_gap: None,
-                        proven_optimal: None,
-                        cu_counts: counts,
-                        dropped_cus: vec![0; problem.num_kernels()],
-                        bb_nodes: 0,
-                        relaxation_iterations: 0,
-                        barrier_iterations: 0,
-                        factorizations: 0,
-                        simplex_pivots: 0,
-                        moved_cus: 0,
-                        migration_cost: 0.0,
-                        gp_dual: None,
-                        warm_start: WarmStartReport::default(),
-                        degraded_from: None,
-                        timing: StageTiming::default(),
-                    },
-                })
-            }
-        }
-        let problem = alex16(0.70);
-        let report = SolveRequest::new(&problem)
-            .solve_with(&OnePerKernel)
-            .unwrap();
-        assert_eq!(report.backend, "one-per-kernel");
-        report.allocation.validate(&problem, 1e-9).unwrap();
     }
 
     #[test]

@@ -66,6 +66,9 @@ impl WorkerSpec {
     }
 }
 
+/// Units a worker may hold at once; 2 overlaps compute with transport.
+const PIPELINE_DEPTH: usize = 2;
+
 /// Options of the sharded dispatcher.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DispatchOptions {
@@ -91,8 +94,6 @@ pub struct DispatchOptions {
     /// [`DispatchError::UnitExhausted`] (a unit that kills every worker it
     /// touches would otherwise cycle forever).
     pub max_attempts: usize,
-    /// Units a worker may hold at once; 2 overlaps compute with transport.
-    pub pipeline_depth: usize,
 }
 
 impl Default for DispatchOptions {
@@ -102,7 +103,6 @@ impl Default for DispatchOptions {
             warm_start: true,
             lease_timeout: Some(Duration::from_secs(300)),
             max_attempts: 3,
-            pipeline_depth: 2,
         }
     }
 }
@@ -249,11 +249,6 @@ fn run_sharded_impl(
     if workers.is_empty() {
         return Err(DispatchError::NoWorkers);
     }
-    if options.pipeline_depth == 0 {
-        return Err(DispatchError::Explore(
-            mfa_explore::ExploreError::InvalidOptions("pipeline_depth must be at least 1".into()),
-        ));
-    }
     if let Some(timeout) = options.lease_timeout {
         // Sub-millisecond timeouts expire leases the instant they are
         // granted: every worker is presumed hung before it can answer, its
@@ -383,7 +378,7 @@ fn run_sharded_impl(
             if !states[wid].alive || !states[wid].ready {
                 continue;
             }
-            while states[wid].leases.len() < options.pipeline_depth {
+            while states[wid].leases.len() < PIPELINE_DEPTH {
                 let Some(pos) = pending
                     .iter()
                     .position(|&u| abort_at.map_or(true, |cut| u < cut))

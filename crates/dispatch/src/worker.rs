@@ -19,7 +19,7 @@
 use std::io::{Read, Write};
 
 use mfa_explore::session::{write_frame, FrameError, FrameReader, MAX_FRAME_BYTES};
-use mfa_explore::{compute_unit_hinted, ExploreError, SweepGrid, DEFAULT_CACHE_CAPACITY};
+use mfa_explore::{compute_unit_hinted, ExploreError, SweepGrid};
 
 use crate::protocol::{FromWorker, ToWorker, PROTOCOL_VERSION};
 use crate::DispatchError;
@@ -127,13 +127,7 @@ pub fn serve(
                         "unit {id} is out of range for the session grid"
                     )));
                 }
-                let reply = match compute_unit_hinted(
-                    grid,
-                    &unit,
-                    *warm_start,
-                    DEFAULT_CACHE_CAPACITY,
-                    &seeds,
-                ) {
+                let reply = match compute_unit_hinted(grid, &unit, *warm_start, &seeds) {
                     Ok(output) => FromWorker::Result {
                         id,
                         points: output.points,

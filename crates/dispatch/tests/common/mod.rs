@@ -127,7 +127,6 @@ pub fn assert_sharded_matches_local(
             num_threads: Some(1),
             chunk_size: options.chunk_size,
             warm_start: options.warm_start,
-            ..ExecutorOptions::default()
         },
     )
     .unwrap_or_else(|err| panic!("reference run failed: {err}"));

@@ -216,9 +216,9 @@ mod tests {
 
     #[test]
     fn cached_entries_carry_the_gp_dual_state() {
-        use mfa_alloc::solver::DualWarmStart;
+        use mfa_alloc::solver::GpDualState;
         let mut cache = WarmStartCache::new();
-        let dual = DualWarmStart {
+        let dual = GpDualState {
             barrier_t: 1.6e9,
             duals: vec![0.25, 0.0, 1.5],
         };

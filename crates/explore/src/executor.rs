@@ -32,12 +32,6 @@ pub struct ExecutorOptions {
     /// neighbour's design where a cold solve would find another
     /// equally-optimal one. Disable to solve every point cold.
     pub warm_start: bool,
-    /// Entry bound of each unit's [`WarmStartCache`]. Eviction is FIFO and
-    /// depends only on the insertion sequence, so any bound preserves the
-    /// serial/parallel byte-identity contract; the default
-    /// ([`DEFAULT_CACHE_CAPACITY`]) exceeds every realistic chunk size and
-    /// never evicts in practice.
-    pub cache_capacity: usize,
 }
 
 impl Default for ExecutorOptions {
@@ -46,7 +40,6 @@ impl Default for ExecutorOptions {
             num_threads: None,
             chunk_size: 8,
             warm_start: true,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
         }
     }
 }
@@ -399,13 +392,7 @@ fn run_sweep_impl(
 
     if threads <= 1 {
         for &idx in &work {
-            match compute_unit_hinted(
-                grid,
-                &units[idx],
-                options.warm_start,
-                options.cache_capacity,
-                seeds_of(idx),
-            ) {
+            match compute_unit_hinted(grid, &units[idx], options.warm_start, seeds_of(idx)) {
                 Ok(out) => {
                     persist(&mut store, &mut report, idx, &out)?;
                     unit_results[idx] = Some(Ok(out.points));
@@ -452,7 +439,6 @@ fn run_sweep_impl(
                             grid,
                             &units[idx],
                             options.warm_start,
-                            options.cache_capacity,
                             seeds_of(idx),
                         );
                         if result.is_err() {
@@ -532,7 +518,7 @@ pub fn compute_unit(
     unit: &WorkUnit,
     warm_start: bool,
 ) -> Result<Vec<Option<SweepPoint>>, ExploreError> {
-    compute_unit_hinted(grid, unit, warm_start, DEFAULT_CACHE_CAPACITY, &[]).map(|out| out.points)
+    compute_unit_hinted(grid, unit, warm_start, &[]).map(|out| out.points)
 }
 
 /// Everything one computed [`WorkUnit`] produces: the points themselves plus
@@ -551,14 +537,13 @@ pub struct UnitOutput {
     pub warm_from_store: usize,
 }
 
-/// [`compute_unit`] with explicit cache capacity and store-neighbour seeds.
+/// [`compute_unit`] with store-neighbour seeds.
 ///
 /// `seeds` are warm-start candidates from *outside* the unit (stored
 /// neighbouring points of the same series — see
 /// [`store::plan_store`](crate::store::plan_store)); they are fixed before
 /// the unit runs, so the result stays a pure function of `(grid, unit,
-/// warm_start, cache_capacity, seeds)`. With empty seeds this is exactly
-/// [`compute_unit`].
+/// warm_start, seeds)`. With empty seeds this is exactly [`compute_unit`].
 ///
 /// Hint selection per point:
 ///
@@ -577,6 +562,20 @@ pub struct UnitOutput {
 /// Returns [`ExploreError::Solver`] for the unit's first non-skippable
 /// solver failure.
 pub fn compute_unit_hinted(
+    grid: &SweepGrid,
+    unit: &WorkUnit,
+    warm_start: bool,
+    seeds: &[(mfa_platform::ResourceBudget, WarmStart)],
+) -> Result<UnitOutput, ExploreError> {
+    compute_unit_cached(grid, unit, warm_start, DEFAULT_CACHE_CAPACITY, seeds)
+}
+
+/// [`compute_unit_hinted`] with an in-unit warm-start cache of
+/// `cache_capacity` entries. Eviction is FIFO and depends only on the
+/// insertion sequence, so any bound keeps the serial/parallel byte identity;
+/// [`DEFAULT_CACHE_CAPACITY`] exceeds every realistic chunk size and never
+/// evicts in practice. The unit tests shrink it to exercise eviction.
+fn compute_unit_cached(
     grid: &SweepGrid,
     unit: &WorkUnit,
     warm_start: bool,
@@ -1002,6 +1001,33 @@ mod tests {
             .unwrap();
         let series = run_sweep(&strict_infeasible, &ExecutorOptions::serial()).unwrap();
         assert_eq!(series[0].points.len(), 1);
+    }
+
+    #[test]
+    fn bounded_cache_eviction_never_changes_the_achieved_ii() {
+        // Three GP+A series of four budget points, one unit each: a
+        // one-entry cache evicts at every point after the first.
+        let mut builder = SweepGrid::builder()
+            .case(CaseSpec::from_paper(PaperCase::Alex16OnTwoFpgas))
+            .fpga_counts([2])
+            .constraints([0.60, 0.70, 0.80, 0.90]);
+        for (label, relaxation) in [("t0", 0.0), ("t3", 0.03), ("t5", 0.05)] {
+            let mut options = GpaOptions::fast();
+            options.greedy.max_relaxation = relaxation;
+            builder = builder.backend(SolverSpec::gpa_labeled(label, options));
+        }
+        let grid = builder.build().unwrap();
+        let units = plan_units(&grid, ExecutorOptions::default().chunk_size).unwrap();
+        assert_eq!(units.len(), 3);
+        for unit in &units {
+            let roomy = compute_unit_hinted(&grid, unit, true, &[]).unwrap();
+            let tight = compute_unit_cached(&grid, unit, true, 1, &[]).unwrap();
+            assert_eq!(roomy.points.len(), tight.points.len());
+            for (r, t) in roomy.points.iter().zip(&tight.points) {
+                let key = |p: &Option<SweepPoint>| p.map(|p| (p.budget, p.initiation_interval_ms));
+                assert_eq!(key(r), key(t), "eviction must not change the achieved II");
+            }
+        }
     }
 
     #[test]

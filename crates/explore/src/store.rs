@@ -1389,7 +1389,7 @@ mod tests {
         assert_eq!(store.take(), lookup_and_seeds);
 
         // Populate the store with this very grid.
-        let out = crate::executor::compute_unit_hinted(&grid, &units[0], true, 256, &[]).unwrap();
+        let out = crate::executor::compute_unit_hinted(&grid, &units[0], true, &[]).unwrap();
         commit_unit(&mut store, &cold.units[0], &out).unwrap();
         assert_eq!(
             store.take(),

@@ -18,9 +18,7 @@
 //!   degrading, and the decoder can therefore trust every number it accepts.
 //!
 //! The `*_to_json`/`*_from_json` pairs are what the frame codecs compose
-//! into their documents; the string-level entry points
-//! ([`encode_grid`]/[`decode_grid`] and friends) code one value as a whole
-//! document.
+//! into their documents.
 
 use std::fmt;
 
@@ -29,7 +27,7 @@ use mfa_alloc::exact::{ExactMode, ExactOptions};
 use mfa_alloc::gp_step::RelaxationBackend;
 use mfa_alloc::gpa::GpaOptions;
 use mfa_alloc::greedy::GreedyOptions;
-use mfa_alloc::solver::{DualWarmStart, SkipPolicy, WarmStart, WarmStartReport};
+use mfa_alloc::solver::{GpDualState, SkipPolicy, WarmStart, WarmStartReport};
 use mfa_alloc::{AllocationProblem, GoalWeights, Kernel};
 use mfa_minlp::SolverOptions;
 use mfa_platform::{DeviceGroup, FpgaDevice, HeterogeneousPlatform, ResourceBudget, ResourceVec};
@@ -726,7 +724,7 @@ pub fn warm_hint_from_json(value: &Json) -> Result<WarmStart, WireError> {
         .transpose()?;
     let gp_dual = match field(value, "gp_dual")? {
         Json::Null => None,
-        dual => Some(DualWarmStart {
+        dual => Some(GpDualState {
             barrier_t: f64_field(dual, "barrier_t")?,
             duals: arr_field(dual, "duals")?
                 .iter()
@@ -1017,65 +1015,6 @@ pub fn points_from_json(value: &Json) -> Result<Vec<Option<SweepPoint>>, WireErr
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// String-level wrappers.
-
-/// Encodes a grid as a compact single-line JSON string.
-///
-/// # Errors
-///
-/// See [`grid_to_json`].
-pub fn encode_grid(grid: &SweepGrid) -> Result<String, WireError> {
-    Ok(grid_to_json(grid)?.to_string())
-}
-
-/// Parses and decodes a grid.
-///
-/// # Errors
-///
-/// Returns [`WireError::Parse`] on malformed JSON, otherwise see
-/// [`grid_from_json`].
-pub fn decode_grid(input: &str) -> Result<SweepGrid, WireError> {
-    let doc = Json::parse(input).map_err(|err| WireError::Parse(err.to_string()))?;
-    grid_from_json(&doc)
-}
-
-/// Encodes a work unit as a compact single-line JSON string.
-pub fn encode_unit(unit: &WorkUnit) -> String {
-    unit_to_json(unit).to_string()
-}
-
-/// Parses and decodes a work unit.
-///
-/// # Errors
-///
-/// Returns [`WireError::Parse`] on malformed JSON, otherwise see
-/// [`unit_from_json`].
-pub fn decode_unit(input: &str) -> Result<WorkUnit, WireError> {
-    let doc = Json::parse(input).map_err(|err| WireError::Parse(err.to_string()))?;
-    unit_from_json(&doc)
-}
-
-/// Encodes a unit result as a compact single-line JSON string.
-///
-/// # Errors
-///
-/// See [`points_to_json`].
-pub fn encode_points(points: &[Option<SweepPoint>]) -> Result<String, WireError> {
-    Ok(points_to_json(points)?.to_string())
-}
-
-/// Parses and decodes a unit result.
-///
-/// # Errors
-///
-/// Returns [`WireError::Parse`] on malformed JSON, otherwise see
-/// [`points_from_json`].
-pub fn decode_points(input: &str) -> Result<Vec<Option<SweepPoint>>, WireError> {
-    let doc = Json::parse(input).map_err(|err| WireError::Parse(err.to_string()))?;
-    points_from_json(&doc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1106,15 +1045,24 @@ mod tests {
             .unwrap()
     }
 
+    /// Writes `value` as one line of JSON and parses it back.
+    fn reparse(value: &Json) -> Json {
+        let line = value.to_string();
+        assert!(!line.contains('\n'), "frames must be single-line");
+        Json::parse(&line).unwrap()
+    }
+
     #[test]
     fn grid_round_trips_exactly() {
         let grid = sample_grid();
-        let encoded = encode_grid(&grid).unwrap();
-        assert!(!encoded.contains('\n'), "frames must be single-line");
-        let decoded = decode_grid(&encoded).unwrap();
+        let encoded = grid_to_json(&grid).unwrap();
+        let decoded = grid_from_json(&reparse(&encoded)).unwrap();
         assert_eq!(decoded, grid);
         // Encoding is deterministic.
-        assert_eq!(encode_grid(&decoded).unwrap(), encoded);
+        assert_eq!(
+            grid_to_json(&decoded).unwrap().to_string(),
+            encoded.to_string()
+        );
     }
 
     #[test]
@@ -1124,7 +1072,10 @@ mod tests {
             start: 8,
             end: 16,
         };
-        assert_eq!(decode_unit(&encode_unit(&unit)).unwrap(), unit);
+        assert_eq!(
+            unit_from_json(&reparse(&unit_to_json(&unit))).unwrap(),
+            unit
+        );
 
         let points = vec![
             None,
@@ -1152,7 +1103,7 @@ mod tests {
                 },
             }),
         ];
-        let decoded = decode_points(&encode_points(&points).unwrap()).unwrap();
+        let decoded = points_from_json(&reparse(&points_to_json(&points).unwrap())).unwrap();
         assert_eq!(decoded, points);
     }
 
@@ -1167,7 +1118,7 @@ mod tests {
             "initiation_interval_ms": 1.5, "average_utilization": 0.5,
             "spreading": 6, "solve_seconds": 0.01, "relaxation_gap": 0.02,
             "bb_nodes": 9, "dropped_cus": 0, "warm_start": "ii"}]"#;
-        let decoded = decode_points(legacy).unwrap();
+        let decoded = points_from_json(&Json::parse(legacy).unwrap()).unwrap();
         let point = decoded[0].as_ref().unwrap();
         assert_eq!(point.bb_nodes, 9);
         assert_eq!(point.barrier_iterations, 0);
@@ -1260,18 +1211,24 @@ mod tests {
 
     #[test]
     fn malformed_frames_error_instead_of_panicking() {
-        assert!(matches!(decode_grid("{nope"), Err(WireError::Parse(_))));
-        assert!(matches!(decode_grid("42"), Err(WireError::Schema(_))));
+        let doc = |line: &str| Json::parse(line).unwrap();
+        assert!(Json::parse("{nope").is_err());
         assert!(matches!(
-            decode_grid(r#"{"cases":[],"platforms":[],"budgets":[],"backends":[]}"#),
+            grid_from_json(&doc("42")),
+            Err(WireError::Schema(_))
+        ));
+        assert!(matches!(
+            grid_from_json(&doc(
+                r#"{"cases":[],"platforms":[],"budgets":[],"backends":[]}"#
+            )),
             Err(WireError::Invalid(_))
         ));
         assert!(matches!(
-            decode_unit(r#"{"series":0,"start":5,"end":5}"#),
+            unit_from_json(&doc(r#"{"series":0,"start":5,"end":5}"#)),
             Err(WireError::Invalid(_))
         ));
         assert!(matches!(
-            decode_unit(r#"{"series":0,"start":-1,"end":5}"#),
+            unit_from_json(&doc(r#"{"series":0,"start":-1,"end":5}"#)),
             Err(WireError::Schema(_))
         ));
         // Unknown variant tags.

@@ -71,7 +71,6 @@ proptest! {
             num_threads: Some(3),
             chunk_size,
             warm_start: true,
-            ..ExecutorOptions::default()
         }).unwrap();
         prop_assert_eq!(zero_timing(serial), zero_timing(parallel));
     }
@@ -120,7 +119,6 @@ proptest! {
             num_threads: Some(3),
             chunk_size,
             warm_start: true,
-            ..ExecutorOptions::default()
         }).unwrap();
         prop_assert_eq!(zero_timing(serial.clone()), zero_timing(parallel));
         // Warm-started and cold sweeps agree on every achieved II.

@@ -126,7 +126,6 @@ proptest! {
                 num_threads: Some(1),
                 chunk_size,
                 warm_start: true,
-                ..ExecutorOptions::default()
             },
         )
         .unwrap();

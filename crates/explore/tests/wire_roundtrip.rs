@@ -18,8 +18,10 @@ use mfa_platform::{DeviceGroup, FpgaDevice, HeterogeneousPlatform, ResourceBudge
 use proptest::collection::vec;
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy};
 
+use mfa_explore::json::Json;
 use mfa_explore::wire::{
-    decode_grid, decode_points, decode_unit, encode_grid, encode_points, encode_unit, point_to_json,
+    grid_from_json, grid_to_json, point_to_json, points_from_json, points_to_json, unit_from_json,
+    unit_to_json,
 };
 use mfa_explore::{CaseSpec, SolverSpec, SweepGrid, SweepPoint, WorkUnit};
 
@@ -256,18 +258,20 @@ proptest! {
 
     #[test]
     fn grids_round_trip_exactly(grid in grid()) {
-        let encoded = encode_grid(&grid).expect("grids of valid axes always encode");
+        let encoded = grid_to_json(&grid).expect("grids of valid axes always encode").to_string();
         prop_assert!(!encoded.contains('\n'), "frames must be single-line");
-        let decoded = decode_grid(&encoded).expect("encoded grids always decode");
+        let decoded = grid_from_json(&Json::parse(&encoded).expect("encoded grids always parse"))
+            .expect("encoded grids always decode");
         prop_assert_eq!(&decoded, &grid);
         // Deterministic encoding: encode ∘ decode ∘ encode is a fixpoint.
-        prop_assert_eq!(encode_grid(&decoded).unwrap(), encoded);
+        prop_assert_eq!(grid_to_json(&decoded).unwrap().to_string(), encoded);
     }
 
     #[test]
     fn units_round_trip_exactly(series in 0usize..1_000, start in 0usize..10_000, len in 1usize..64) {
         let unit = WorkUnit { series, start, end: start + len };
-        prop_assert_eq!(decode_unit(&encode_unit(&unit)).unwrap(), unit);
+        let encoded = unit_to_json(&unit).to_string();
+        prop_assert_eq!(unit_from_json(&Json::parse(&encoded).unwrap()).unwrap(), unit);
     }
 
     #[test]
@@ -277,8 +281,9 @@ proptest! {
             .into_iter()
             .map(|(skip, p)| if skip == 0 { None } else { Some(p) })
             .collect();
-        let encoded = encode_points(&points).expect("finite points always encode");
-        let decoded = decode_points(&encoded).expect("encoded points always decode");
+        let encoded = points_to_json(&points).expect("finite points always encode").to_string();
+        let decoded = points_from_json(&Json::parse(&encoded).expect("encoded points always parse"))
+            .expect("encoded points always decode");
         prop_assert_eq!(decoded.len(), points.len());
         for (back, original) in decoded.iter().zip(&points) {
             match (back, original) {

@@ -202,11 +202,6 @@ impl Posynomial {
         self.terms.is_empty()
     }
 
-    /// Returns `true` if the posynomial is a single monomial.
-    pub fn is_monomial(&self) -> bool {
-        self.terms.len() == 1
-    }
-
     /// Evaluates the posynomial at the given variable assignment.
     ///
     /// # Panics
@@ -327,7 +322,6 @@ mod tests {
             Posynomial::monomial(1.0, &[(v(0), 1.0)]).with_term(Monomial::new(2.0, &[(v(1), 2.0)]));
         assert!((p.eval(&[3.0, 2.0]) - 11.0).abs() < 1e-12);
         assert_eq!(p.len(), 2);
-        assert!(!p.is_monomial());
     }
 
     #[test]

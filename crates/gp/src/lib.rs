@@ -22,9 +22,10 @@
 //! Newton step fails the Armijo test at a Newton decrement small enough that
 //! backtracking provably accepts the full step on a self-concordant barrier:
 //! there the barrier value's rounding, not its curvature, refused the step.
-//! [`SolverOptions`] under which the method cannot converge are rejected up
-//! front, and a phase that runs out of outer iterations reports
-//! [`GpError::DidNotConverge`].
+//! The barrier's settings (gap tolerance, barrier growth, iteration budgets,
+//! implicit variable bounds) are fixed; [`SolverOptions`] carries only the
+//! primal and dual warm starts. A phase that runs out of outer iterations
+//! reports [`GpError::DidNotConverge`].
 //!
 //! # Example
 //!

@@ -151,7 +151,7 @@ impl GpProblem {
         Ok(())
     }
 
-    /// Solves the problem with default [`SolverOptions`].
+    /// Solves the problem from a cold start.
     ///
     /// # Errors
     ///
@@ -160,7 +160,7 @@ impl GpProblem {
         self.solve_with(&SolverOptions::default())
     }
 
-    /// Solves the problem with explicit solver options.
+    /// Solves the problem from the warm start in `options`.
     ///
     /// # Errors
     ///

@@ -20,15 +20,15 @@
 //! A centering ends when the Newton decrement is small, when the line search
 //! accepts nothing, when it accepts a step that leaves `y` bitwise
 //! unchanged, or when it refuses a full step that only rounding can refuse.
-//! The third step would otherwise repeat, identically, until
-//! [`SolverOptions::max_newton_iterations`] ran out. The fourth is a full
-//! step that stays strictly feasible but fails the Armijo test while the
-//! Newton decrement `λ` is at most `η = (1 − 2c)/4`, `c` the Armijo
-//! constant. On a self-concordant barrier backtracking accepts the full step
-//! there (Boyd & Vandenberghe, *Convex Optimization*, §9.6.4), so the
-//! refusal is φ's rounding, not its curvature: on the last rungs of the
-//! allocation GP, φ is about 1e8–1e9 and rounds away a decrease of `λ²`,
-//! and shorter steps would not lower `λ` either. A full step refused for
+//! The third step would otherwise repeat, identically, until the centering's
+//! Newton step budget ran out. The fourth is a full step that stays strictly
+//! feasible but fails the Armijo test while the Newton decrement `λ` is at
+//! most `η = (1 − 2c)/4`, `c` the Armijo constant. On a self-concordant
+//! barrier backtracking accepts the full step there (Boyd & Vandenberghe,
+//! *Convex Optimization*, §9.6.4), so the refusal is φ's rounding, not its
+//! curvature: on the last rungs of the allocation GP, φ is about 1e8–1e9
+//! and rounds away a decrease of `λ²`, and shorter steps would not lower
+//! `λ` either. A full step refused for
 //! leaving the domain still backtracks. Both exits leave every iterate
 //! before them as it was; they save only Newton steps and factorizations.
 
@@ -46,8 +46,8 @@ use crate::GpError;
 /// Feeding a prior solution's dual state into
 /// [`SolverOptions::initial_dual`] lets a neighboring solve start phase II
 /// near the previous barrier parameter instead of walking the whole central
-/// path from [`SolverOptions::initial_barrier`] — the *dual* half of a warm
-/// start, complementing the primal [`SolverOptions::initial_point`].
+/// path from the cold start's first rung — the *dual* half of a warm start,
+/// complementing the primal [`SolverOptions::initial_point`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpDualState {
     /// Final barrier parameter `t` of the producing solve.
@@ -56,46 +56,37 @@ pub struct GpDualState {
     pub duals: Vec<f64>,
 }
 
-/// Options controlling the interior-point solver.
+/// Target duality-gap tolerance: `m / t < TOLERANCE` stops the outer loop.
+const TOLERANCE: f64 = 1e-8;
+/// Newton decrement threshold of a centering: it ends once `λ²/2` is at
+/// most this. It may end earlier, at numerical precision (see the module
+/// documentation).
+const NEWTON_TOLERANCE: f64 = 1e-10;
+/// Multiplicative increase of the barrier parameter per outer iteration.
+const BARRIER_GROWTH: f64 = 20.0;
+/// Barrier parameter of the first centering.
+const INITIAL_BARRIER: f64 = 1.0;
+/// Newton steps per centering problem.
+const MAX_NEWTON_ITERATIONS: usize = 80;
+/// Outer (barrier) iterations per phase. A phase that runs out of them
+/// before reaching [`TOLERANCE`] fails with [`GpError::DidNotConverge`].
+const MAX_OUTER_ITERATIONS: usize = 60;
+/// Implicit bounds on every variable.
 ///
-/// Options under which the method cannot converge are rejected with
-/// [`GpError::InvalidArgument`] before any work: a non-positive or
-/// non-finite `tolerance` or `initial_barrier`, a negative
-/// `newton_tolerance`, a `barrier_growth` not above 1, a zero iteration
-/// budget, or variable bounds outside `0 < lower < upper < ∞`.
-#[derive(Debug, Clone, PartialEq)]
+/// GP variables are strictly positive but otherwise unbounded, which can
+/// make the barrier subproblems unbounded along directions that only
+/// increase constraint slack. The solver therefore restricts every variable
+/// to `[VARIABLE_LOWER, VARIABLE_UPPER]`, far outside the value range of any
+/// model in this workspace.
+const VARIABLE_LOWER: f64 = 1e-9;
+/// See [`VARIABLE_LOWER`].
+const VARIABLE_UPPER: f64 = 1e9;
+
+/// Warm-start options of the interior-point solver. The barrier's own
+/// settings (gap tolerance, barrier growth, iteration budgets, implicit
+/// variable bounds) are fixed.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolverOptions {
-    /// Target duality-gap tolerance (`m / t < tolerance` stops the outer loop).
-    pub tolerance: f64,
-    /// Newton decrement threshold for the inner iteration: a centering ends
-    /// once `λ²/2` is at most this. It may end earlier, at numerical
-    /// precision: when a step leaves the iterate bitwise unchanged, or when
-    /// a strictly feasible full step fails the Armijo test while `λ` is
-    /// small enough that only rounding can refuse it (see the crate
-    /// documentation).
-    pub newton_tolerance: f64,
-    /// Multiplicative increase of the barrier parameter per outer iteration.
-    pub barrier_growth: f64,
-    /// Initial barrier parameter.
-    pub initial_barrier: f64,
-    /// Maximum Newton steps per centering problem.
-    pub max_newton_iterations: usize,
-    /// Maximum outer (barrier) iterations per phase. A phase that runs out
-    /// of them before reaching [`tolerance`](SolverOptions::tolerance) fails
-    /// with [`GpError::DidNotConverge`].
-    pub max_outer_iterations: usize,
-    /// Implicit lower bound applied to every variable.
-    ///
-    /// GP variables are strictly positive but otherwise unbounded, which can
-    /// make the barrier subproblems unbounded along directions that only
-    /// increase constraint slack. The solver therefore restricts every
-    /// variable to `[variable_lower, variable_upper]`; the defaults
-    /// (`1e-9`, `1e9`) are far outside the value range of any model in this
-    /// workspace. Widen them if your optimum genuinely lies outside.
-    pub variable_lower: f64,
-    /// Implicit upper bound applied to every variable (see
-    /// [`variable_lower`](SolverOptions::variable_lower)).
-    pub variable_upper: f64,
     /// Optional warm-start point in the original (positive) variable space,
     /// one value per variable in creation order.
     ///
@@ -115,33 +106,15 @@ pub struct SolverOptions {
     /// Only consumed when [`initial_point`](SolverOptions::initial_point) was
     /// accepted — the dual state describes the central path near that point.
     /// When taken, phase II starts at a barrier parameter derived from the
-    /// surrogate duality gap `Σ λ_i · (−F_i(y_warm))` (clamped to
-    /// `[initial_barrier, barrier_t]`) instead of
-    /// [`initial_barrier`](SolverOptions::initial_barrier), skipping the
-    /// early centering path entirely. A dual state with the wrong number of
-    /// duals, non-finite or negative entries, or an out-of-range `barrier_t`
-    /// is ignored; like a stale primal hint, a stale dual hint can only cost
-    /// extra iterations, never change the reported optimum beyond solver
-    /// tolerance. [`GpSolution::dual_warm_started`] reports whether it was
-    /// taken.
+    /// surrogate duality gap `Σ λ_i · (−F_i(y_warm))` (clamped to at least
+    /// the cold start's initial barrier parameter and at most `barrier_t`),
+    /// skipping the early centering path entirely. A dual state with the
+    /// wrong number of duals, non-finite or negative entries, or an
+    /// out-of-range `barrier_t` is ignored; like a stale primal hint, a
+    /// stale dual hint can only cost extra iterations, never change the
+    /// reported optimum beyond solver tolerance.
+    /// [`GpSolution::dual_warm_started`] reports whether it was taken.
     pub initial_dual: Option<GpDualState>,
-}
-
-impl Default for SolverOptions {
-    fn default() -> Self {
-        SolverOptions {
-            tolerance: 1e-8,
-            newton_tolerance: 1e-10,
-            barrier_growth: 20.0,
-            initial_barrier: 1.0,
-            max_newton_iterations: 80,
-            max_outer_iterations: 60,
-            variable_lower: 1e-9,
-            variable_upper: 1e9,
-            initial_point: None,
-            initial_dual: None,
-        }
-    }
 }
 
 impl SolverOptions {
@@ -160,7 +133,6 @@ impl SolverOptions {
         SolverOptions {
             initial_point: Some(point),
             initial_dual: Some(dual),
-            ..SolverOptions::default()
         }
     }
 }
@@ -446,15 +418,9 @@ impl ConvexProgram {
     /// in-place diagonal refreshes for the ridge fallback on near-singular
     /// Hessians. Its counters therefore accumulate the phase's factorization
     /// effort.
-    fn center(
-        &self,
-        y: &mut Vector,
-        t: f64,
-        options: &SolverOptions,
-        ws: &mut Workspace,
-    ) -> Result<usize, GpError> {
+    fn center(&self, y: &mut Vector, t: f64, ws: &mut Workspace) -> Result<usize, GpError> {
         let mut steps = 0;
-        for _ in 0..options.max_newton_iterations {
+        for _ in 0..MAX_NEWTON_ITERATIONS {
             let phi = self.barrier_derivatives(y.as_slice(), t, ws)?;
             #[cfg(test)]
             self.check_derivatives(y.as_slice(), t, phi, ws);
@@ -477,7 +443,7 @@ impl ConvexProgram {
                 Err(err) => return Err(to_numerical(err)),
             };
             let decrement_sq: f64 = ws.grad.iter().zip(step.iter()).map(|(g, s)| g * -s).sum();
-            if decrement_sq * 0.5 <= options.newton_tolerance {
+            if decrement_sq * 0.5 <= NEWTON_TOLERANCE {
                 break;
             }
             // Backtracking line search (Armijo on the barrier function,
@@ -586,57 +552,22 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Rejects options under which the barrier method cannot converge, before
-/// any work is done. A barrier parameter that never grows never reaches the
-/// gap tolerance, and a zero Newton budget or barrier parameter stalls
-/// phase I, which would then read as `Infeasible`.
-fn validate_options(options: &SolverOptions) -> Result<(), GpError> {
-    let positive = |x: f64| x.is_finite() && x > 0.0;
-    let checks = [
-        (
-            positive(options.tolerance),
-            "tolerance must be positive and finite",
-        ),
-        (
-            options.newton_tolerance.is_finite() && options.newton_tolerance >= 0.0,
-            "newton_tolerance must be non-negative and finite",
-        ),
-        (
-            options.barrier_growth.is_finite() && options.barrier_growth > 1.0,
-            "barrier_growth must be finite and greater than 1",
-        ),
-        (
-            positive(options.initial_barrier),
-            "initial_barrier must be positive and finite",
-        ),
-        (
-            options.max_newton_iterations > 0,
-            "max_newton_iterations must be at least 1",
-        ),
-        (
-            options.max_outer_iterations > 0,
-            "max_outer_iterations must be at least 1",
-        ),
-        (
-            positive(options.variable_lower)
-                && options.variable_upper.is_finite()
-                && options.variable_upper > options.variable_lower,
-            "solver variable bounds must satisfy 0 < lower < upper < ∞",
-        ),
-    ];
-    match checks.iter().find(|(ok, _)| !ok) {
-        Some((_, message)) => Err(GpError::InvalidArgument((*message).into())),
-        None => Ok(()),
-    }
-}
-
 fn to_numerical<E: std::fmt::Display>(err: E) -> GpError {
     GpError::Numerical(err.to_string())
 }
 
 /// Solves a validated [`GpProblem`]; entry point used by [`GpProblem::solve_with`].
 pub(crate) fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSolution, GpError> {
-    validate_options(options)?;
+    solve_within(problem, options, MAX_OUTER_ITERATIONS)
+}
+
+/// [`solve`] with at most `max_outer_iterations` barrier iterations per
+/// phase, which lets the unit tests run a phase out of them.
+fn solve_within(
+    problem: &GpProblem,
+    options: &SolverOptions,
+    max_outer_iterations: usize,
+) -> Result<GpSolution, GpError> {
     let n = problem.num_vars();
     let objective = problem
         .objective
@@ -662,9 +593,9 @@ pub(crate) fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSo
         .map(|c| LogSumExp::from_posynomial(&c.posy))
         .collect();
     // Implicit box constraints keep every barrier subproblem bounded; see
-    // `SolverOptions::variable_lower`.
-    let lower_log = options.variable_lower.ln();
-    let upper_log = options.variable_upper.ln();
+    // `VARIABLE_LOWER`.
+    let lower_log = VARIABLE_LOWER.ln();
+    let upper_log = VARIABLE_UPPER.ln();
     for j in 0..n {
         // x_j ≤ upper  ⇔  y_j − ln(upper) ≤ 0.
         constraints.push(LogSumExp::new(vec![(vec![(j, 1.0)], -upper_log)]));
@@ -693,7 +624,7 @@ pub(crate) fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSo
     // Phase I: find a strictly feasible y (all F_i(y) < 0). The box rows
     // make the constraint list non-empty.
     if !program.strictly_feasible(y.as_slice()) {
-        let (feasible_y, effort) = phase_one(&program, options)?;
+        let (feasible_y, effort) = phase_one(&program, max_outer_iterations)?;
         total_newton += effort.newton;
         barrier_iterations += effort.barrier;
         factorizations += effort.factorizations;
@@ -707,11 +638,11 @@ pub(crate) fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSo
     // step of the phase; consecutive Hessians share its factorization.
     let m = program.constraints.len();
     let mut ws = program.workspace()?;
-    let mut t = options.initial_barrier;
+    let mut t = INITIAL_BARRIER;
     let mut dual_warm_started = false;
     // Dual warm start: an accepted prior dual state places the starting
     // barrier parameter near the previous solve's endpoint, skipping the
-    // early centering path from `initial_barrier`.
+    // early centering path from `INITIAL_BARRIER`.
     if warm_started {
         if let Some(warm_t) = warm_barrier_parameter(&program, &y, m, num_explicit, options) {
             t = warm_t;
@@ -719,14 +650,14 @@ pub(crate) fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSo
         }
     }
     let mut converged = false;
-    for _ in 0..options.max_outer_iterations {
-        total_newton += program.center(&mut y, t, options, &mut ws)?;
+    for _ in 0..max_outer_iterations {
+        total_newton += program.center(&mut y, t, &mut ws)?;
         barrier_iterations += 1;
-        if (m as f64) / t < options.tolerance {
+        if (m as f64) / t < TOLERANCE {
             converged = true;
             break;
         }
-        t *= options.barrier_growth;
+        t *= BARRIER_GROWTH;
     }
     if !converged {
         return Err(GpError::DidNotConverge {
@@ -766,8 +697,8 @@ pub(crate) fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSo
 ///
 /// The parameter is `m / η` for the surrogate duality gap
 /// `η = Σ λ_i · (−F_i(y))` over the explicit constraints, clamped to
-/// `[initial_barrier, barrier_t]` and then snapped *down* onto the cold
-/// ladder `initial_barrier · barrier_growth^k`: at the producing solve's own
+/// `[INITIAL_BARRIER, barrier_t]` and then snapped *down* onto the cold
+/// ladder `INITIAL_BARRIER · BARRIER_GROWTH^k`: at the producing solve's own
 /// optimum every product is exactly `1/t`, so the estimate recovers (about)
 /// the previous final `t`, while a genuinely perturbed neighboring problem
 /// widens the slacks and lowers the start accordingly. The snap matters
@@ -784,7 +715,7 @@ fn warm_barrier_parameter(
     options: &SolverOptions,
 ) -> Option<f64> {
     let dual = options.initial_dual.as_ref()?;
-    if !(dual.barrier_t.is_finite() && dual.barrier_t >= options.initial_barrier) {
+    if !(dual.barrier_t.is_finite() && dual.barrier_t >= INITIAL_BARRIER) {
         return None;
     }
     if dual.duals.len() != num_explicit || dual.duals.iter().any(|l| !(l.is_finite() && *l >= 0.0))
@@ -806,9 +737,9 @@ fn warm_barrier_parameter(
         // fall back to the previous endpoint.
         dual.barrier_t
     };
-    let clamped = estimate.clamp(options.initial_barrier, dual.barrier_t);
-    let rung = ((clamped / options.initial_barrier).ln() / options.barrier_growth.ln()).floor();
-    Some(options.initial_barrier * options.barrier_growth.powi(rung as i32))
+    let clamped = estimate.clamp(INITIAL_BARRIER, dual.barrier_t);
+    let rung = ((clamped / INITIAL_BARRIER).ln() / BARRIER_GROWTH.ln()).floor();
+    Some(INITIAL_BARRIER * BARRIER_GROWTH.powi(rung as i32))
 }
 
 /// Validates [`SolverOptions::initial_point`] against the log-space program:
@@ -839,7 +770,7 @@ struct Effort {
 /// soon as a strictly feasible `y` is found.
 fn phase_one(
     program: &ConvexProgram,
-    options: &SolverOptions,
+    max_outer_iterations: usize,
 ) -> Result<(Vector, Effort), GpError> {
     let n = program.n;
     // Extended problem over (y, s): objective = s (affine), constraints
@@ -876,10 +807,10 @@ fn phase_one(
 
     let mut effort = Effort::default();
     let mut ws = ext.workspace()?;
-    let mut t = options.initial_barrier;
+    let mut t = INITIAL_BARRIER;
     let mut converged = false;
-    for _ in 0..options.max_outer_iterations {
-        effort.newton += ext.center(&mut y_ext, t, options, &mut ws)?;
+    for _ in 0..max_outer_iterations {
+        effort.newton += ext.center(&mut y_ext, t, &mut ws)?;
         effort.barrier += 1;
         let y_candidate = &y_ext.as_slice()[..n];
         if program
@@ -889,11 +820,11 @@ fn phase_one(
         {
             break;
         }
-        if (ext.constraints.len() as f64) / t < options.tolerance {
+        if (ext.constraints.len() as f64) / t < TOLERANCE {
             converged = true;
             break;
         }
-        t *= options.barrier_growth;
+        t *= BARRIER_GROWTH;
     }
     effort.factorizations = ws.kkt.factorizations() + ws.kkt.refreshes();
     let y_candidate = &y_ext.as_slice()[..n];

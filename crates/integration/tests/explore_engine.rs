@@ -38,7 +38,6 @@ fn parallel_series_are_byte_identical_to_serial() {
             num_threads: Some(4),
             chunk_size: 2,
             warm_start: true,
-            ..ExecutorOptions::default()
         },
     )
     .unwrap();

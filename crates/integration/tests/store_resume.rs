@@ -21,7 +21,6 @@ use mfa_explore::store::{commit_unit, plan_store, point_fingerprint, series_fing
 use mfa_explore::{
     compute_unit_hinted, export, figures, plan_units, run_sweep, run_sweep_stored, zero_timing,
     CaseSpec, ExecutorOptions, SolverSpec, SweepGrid, SweepSeries, SweepStore,
-    DEFAULT_CACHE_CAPACITY,
 };
 use mfa_minlp::SolverOptions;
 use mfa_platform::{MultiFpgaPlatform, ResourceBudget, ResourceVec};
@@ -79,14 +78,8 @@ fn commit_partial(grid: &SweepGrid, dir: &PathBuf, keep: impl Fn(usize) -> bool)
         if !keep(idx) {
             continue;
         }
-        let output = compute_unit_hinted(
-            grid,
-            unit,
-            options.warm_start,
-            DEFAULT_CACHE_CAPACITY,
-            &plan.units[idx].seeds,
-        )
-        .expect("unit computes");
+        let output = compute_unit_hinted(grid, unit, options.warm_start, &plan.units[idx].seeds)
+            .expect("unit computes");
         commit_unit(&mut store, &plan.units[idx], &output).expect("unit commits");
     }
 }
@@ -273,31 +266,6 @@ fn stored_neighbours_warm_shifted_grids_without_changing_the_ii() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bounded_cache_eviction_never_changes_the_achieved_ii() {
-    let grid = three_segment_grid();
-    let roomy = run_sweep(&grid, &ExecutorOptions::default()).expect("default-capacity run");
-    let tight = run_sweep(
-        &grid,
-        &ExecutorOptions {
-            cache_capacity: 1,
-            ..ExecutorOptions::default()
-        },
-    )
-    .expect("capacity-1 run");
-    assert_eq!(roomy.len(), tight.len());
-    for (r, t) in roomy.iter().zip(&tight) {
-        assert_eq!(r.points.len(), t.points.len());
-        for (rp, tp) in r.points.iter().zip(&t.points) {
-            assert_eq!(rp.budget, tp.budget);
-            assert_eq!(
-                rp.initiation_interval_ms, tp.initiation_interval_ms,
-                "eviction must not change the achieved II"
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

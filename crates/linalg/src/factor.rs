@@ -357,11 +357,6 @@ impl KktFactorization {
         })
     }
 
-    /// Dimension of the factored system.
-    pub fn dim(&self) -> usize {
-        self.a.rows()
-    }
-
     /// Replaces the stored matrix with `a` and factors it in place,
     /// incrementing the factorization counter. The workspace is resized if
     /// `a`'s dimension differs from the current one.
@@ -570,7 +565,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[4.0, 2.0, 0.0], &[2.0, 5.0, 1.0], &[0.0, 1.0, 3.0]]).unwrap();
         let b = Vector::from(vec![1.0, 2.0, 3.0]);
         let mut kkt = KktFactorization::new(3).unwrap();
-        assert_eq!(kkt.dim(), 3);
+        assert_eq!(kkt.a.rows(), 3);
         // Solving before the first refactor is an error, not a panic.
         assert!(kkt.solve(&b).is_err());
         kkt.refactor(&a).unwrap();
@@ -639,7 +634,7 @@ mod tests {
         let a3 =
             Matrix::from_rows(&[&[4.0, 1.0, 0.0], &[1.0, 4.0, 1.0], &[0.0, 1.0, 4.0]]).unwrap();
         kkt.refactor(&a3).unwrap();
-        assert_eq!(kkt.dim(), 3);
+        assert_eq!(kkt.a.rows(), 3);
         let b = Vector::from(vec![1.0, 2.0, 3.0]);
         let x = kkt.solve(&b).unwrap();
         assert!((&a3.mul_vec(&x).unwrap() - &b).norm_inf() < 1e-12);

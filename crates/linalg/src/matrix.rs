@@ -177,34 +177,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Transposed matrix–vector product `Aᵀ x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.rows()`.
-    pub fn mul_vec_transposed(&self, x: &Vector) -> Result<Vector, LinalgError> {
-        if x.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "matrix is {}x{} but vector has length {}",
-                self.rows,
-                self.cols,
-                x.len()
-            )));
-        }
-        let mut out = Vector::zeros(self.cols);
-        for i in 0..self.rows {
-            let xi = x.get(i);
-            if xi == 0.0 {
-                continue;
-            }
-            let row = self.row(i);
-            for j in 0..self.cols {
-                out[j] += row[j] * xi;
-            }
-        }
-        Ok(out)
-    }
-
     /// Matrix–matrix product `A B`.
     ///
     /// # Errors
@@ -246,26 +218,6 @@ impl Matrix {
     /// Returns `true` if the matrix is square.
     pub fn is_square(&self) -> bool {
         self.rows == self.cols
-    }
-
-    /// Returns `true` if the matrix is symmetric within tolerance `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self.get(i, j) - self.get(j, i)).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Frobenius norm.
-    pub fn norm_frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Returns `true` if every entry is finite.
@@ -373,25 +325,6 @@ mod tests {
         assert_eq!(t.transposed(), a);
     }
 
-    #[test]
-    fn symmetry_check() {
-        let s = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
-        assert!(s.is_symmetric(1e-12));
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 3.0]]).unwrap();
-        assert!(!a.is_symmetric(1e-12));
-        let r = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]).unwrap();
-        assert!(!r.is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn mul_vec_transposed_matches_explicit_transpose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        let x = Vector::from(vec![1.0, -1.0]);
-        let expected = a.transposed().mul_vec(&x).unwrap();
-        let got = a.mul_vec_transposed(&x).unwrap();
-        assert_eq!(expected, got);
-    }
-
     proptest! {
         #[test]
         fn transpose_is_involutive(
@@ -400,19 +333,6 @@ mod tests {
             let rows: Vec<&[f64]> = entries.chunks(4).collect();
             let a = Matrix::from_rows(&rows).unwrap();
             prop_assert_eq!(a.transposed().transposed(), a);
-        }
-
-        #[test]
-        fn frobenius_norm_nonnegative_and_zero_only_for_zero(
-            entries in proptest::collection::vec(-10.0..10.0f64, 9..=9)
-        ) {
-            let rows: Vec<&[f64]> = entries.chunks(3).collect();
-            let a = Matrix::from_rows(&rows).unwrap();
-            let n = a.norm_frobenius();
-            prop_assert!(n >= 0.0);
-            if entries.iter().any(|x| x.abs() > 1e-9) {
-                prop_assert!(n > 0.0);
-            }
         }
     }
 }

@@ -21,8 +21,8 @@ pub enum LpError {
         /// Upper bound.
         upper: f64,
     },
-    /// The configured pivot budget was exhausted before the solve finished
-    /// (see [`SimplexOptions::max_pivots`](crate::SimplexOptions::max_pivots)).
+    /// The pivot budget was exhausted before the solve finished (see
+    /// [`LpProblem::solve`](crate::LpProblem::solve)).
     ///
     /// A structured stop, never a hang: degenerate or cycling-prone models
     /// surface here after exactly `pivots` pivots. Callers that iterate over

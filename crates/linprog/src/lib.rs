@@ -48,5 +48,4 @@ mod solution;
 
 pub use error::LpError;
 pub use model::{ConstraintId, LpProblem, Relation, Sense, VarId};
-pub use simplex::SimplexOptions;
 pub use solution::{LpSolution, SolverStatus};

@@ -57,7 +57,6 @@ pub(crate) struct VarData {
 
 #[derive(Debug, Clone)]
 pub(crate) struct ConstraintData {
-    pub(crate) name: String,
     /// `(variable index, coefficient)` pairs; at most one entry per variable.
     pub(crate) terms: Vec<(usize, f64)>,
     pub(crate) relation: Relation,
@@ -196,7 +195,6 @@ impl LpProblem {
             }
         }
         self.constraints.push(ConstraintData {
-            name,
             terms: combined,
             relation,
             rhs,
@@ -257,42 +255,31 @@ impl LpProblem {
             .ok_or_else(|| LpError::UnknownId(format!("variable #{}", var.0)))
     }
 
-    /// Returns the name of a constraint.
+    /// Solves the problem with the two-phase simplex method.
     ///
     /// # Errors
     ///
-    /// Returns [`LpError::UnknownId`] for a foreign constraint.
-    pub fn constraint_name(&self, constraint: ConstraintId) -> Result<&str, LpError> {
-        self.constraints
-            .get(constraint.0)
-            .map(|c| c.name.as_str())
-            .ok_or_else(|| LpError::UnknownId(format!("constraint #{}", constraint.0)))
-    }
-
-    /// Solves the problem with the two-phase simplex method and default
-    /// [`SimplexOptions`](crate::SimplexOptions).
+    /// Returns [`LpError::PivotBudgetExceeded`] if the pivot budget (50 000,
+    /// both phases combined) is exhausted — a structured stop, never a hang.
+    /// Infeasibility and unboundedness are *not* errors; they are reported
+    /// via [`LpSolution::status`].
     ///
-    /// # Errors
+    /// # Example
     ///
-    /// Returns [`LpError::PivotBudgetExceeded`] if the default pivot budget
-    /// is exhausted. Infeasibility and unboundedness are *not* errors; they
-    /// are reported via [`LpSolution::status`].
+    /// ```
+    /// use mfa_linprog::{LpProblem, Sense};
+    ///
+    /// # fn main() -> Result<(), mfa_linprog::LpError> {
+    /// let mut lp = LpProblem::new(Sense::Minimize);
+    /// let x = lp.add_var("x", 0.0, 1.0)?;
+    /// lp.set_objective_coefficient(x, 1.0)?;
+    /// let solution = lp.solve()?;
+    /// assert!(solution.is_optimal());
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn solve(&self) -> Result<LpSolution, LpError> {
-        self.solve_with(&crate::SimplexOptions::default())
-    }
-
-    /// Solves the problem with the two-phase simplex method under explicit
-    /// [`SimplexOptions`](crate::SimplexOptions).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LpError::PivotBudgetExceeded`] if
-    /// [`SimplexOptions::max_pivots`](crate::SimplexOptions::max_pivots) is
-    /// exhausted — a structured stop, never a hang. Infeasibility and
-    /// unboundedness are *not* errors; they are reported via
-    /// [`LpSolution::status`].
-    pub fn solve_with(&self, options: &crate::SimplexOptions) -> Result<LpSolution, LpError> {
-        simplex::solve(self, options)
+        simplex::solve(self, simplex::MAX_PIVOTS)
     }
 
     /// Evaluates the objective at a given assignment (useful for checking
@@ -380,8 +367,6 @@ mod tests {
             .add_constraint("c", &[(x, 1.0), (x, 2.0)], Relation::LessEq, 6.0)
             .unwrap();
         assert_eq!(c.index(), 0);
-        assert_eq!(lp.constraint_name(c).unwrap(), "c");
-        assert!(lp.constraint_name(ConstraintId(5)).is_err());
         assert_eq!(lp.constraints[0].terms, vec![(0, 3.0)]);
     }
 

@@ -23,50 +23,10 @@ use crate::LpError;
 const EPS: f64 = 1e-9;
 /// Pivot budget after which the solver switches to Bland's rule.
 const DANTZIG_PIVOTS: usize = 5_000;
-/// Default hard pivot limit (both phases combined).
-const MAX_PIVOTS: usize = 50_000;
-
-/// Options controlling the simplex solver.
-///
-/// # Example
-///
-/// ```
-/// use mfa_linprog::{LpProblem, Sense, SimplexOptions};
-///
-/// # fn main() -> Result<(), mfa_linprog::LpError> {
-/// let mut lp = LpProblem::new(Sense::Minimize);
-/// let x = lp.add_var("x", 0.0, 1.0)?;
-/// lp.set_objective_coefficient(x, 1.0)?;
-/// let solution = lp.solve_with(&SimplexOptions::default())?;
-/// assert!(solution.is_optimal());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimplexOptions {
-    /// Hard pivot budget, phase 1 and phase 2 combined. When the budget is
-    /// exhausted the solve stops with [`LpError::PivotBudgetExceeded`]
-    /// (`crate::LpError::PivotBudgetExceeded`) rather than iterating further
-    /// — a structured stop, never a hang. The default (50 000) is far above
-    /// any well-posed model in this workspace; lower it to bound the cost of
-    /// feasibility probes on potentially degenerate models.
-    pub max_pivots: usize,
-}
-
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        SimplexOptions {
-            max_pivots: MAX_PIVOTS,
-        }
-    }
-}
-
-impl SimplexOptions {
-    /// Default options with the given pivot budget.
-    pub fn with_max_pivots(max_pivots: usize) -> Self {
-        SimplexOptions { max_pivots }
-    }
-}
+/// Hard pivot limit, phase 1 and phase 2 combined: far above any
+/// well-posed model in this workspace, so reaching it means a degenerate
+/// model, and the solve stops with [`LpError::PivotBudgetExceeded`].
+pub(crate) const MAX_PIVOTS: usize = 50_000;
 
 /// How a user variable was mapped into standard-form columns.
 #[derive(Debug, Clone, Copy)]
@@ -410,9 +370,9 @@ fn orient(row: &StdRow) -> (f64, Relation, f64) {
     }
 }
 
-/// Solves the problem; the public entry point used by [`LpProblem::solve`]
-/// and [`LpProblem::solve_with`].
-pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
+/// Solves the problem within `max_pivots` pivots; [`LpProblem::solve`]
+/// passes [`MAX_PIVOTS`].
+pub(crate) fn solve(problem: &LpProblem, max_pivots: usize) -> Result<LpSolution, LpError> {
     let std_form = build_standard_form(problem);
     let n = std_form.num_cols;
     let m = std_form.rows.len();
@@ -482,7 +442,7 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
         total_cols,
         artificial: artificial_flags,
         pivots: 0,
-        max_pivots: options.max_pivots,
+        max_pivots,
     };
 
     // Phase 1: minimize the sum of artificial variables.
@@ -1027,16 +987,14 @@ mod tests {
             .unwrap();
         lp.add_constraint("c3", &[(x, 3.0), (y, 2.0)], Relation::LessEq, 18.0)
             .unwrap();
-        let err = lp
-            .solve_with(&SimplexOptions::with_max_pivots(1))
-            .unwrap_err();
+        let err = solve(&lp, 1).unwrap_err();
         assert!(
             matches!(err, LpError::PivotBudgetExceeded { pivots: 1 }),
             "expected PivotBudgetExceeded, got {err}"
         );
         // A sufficient budget solves identically to the default path and
         // reports its pivot count.
-        let s = lp.solve_with(&SimplexOptions::default()).unwrap();
+        let s = lp.solve().unwrap();
         assert!(s.is_optimal());
         assert_close(s.objective(), 36.0, 1e-8);
         assert!(s.pivots() > 1);

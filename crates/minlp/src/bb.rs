@@ -796,8 +796,7 @@ mod tests {
         let sol = p.solve().unwrap();
         assert!(!sol.warm_started());
         assert_eq!(sol.status(), MinlpStatus::Optimal);
-        p.clear_initial_incumbent();
-        let cold = p.solve().unwrap();
+        let cold = six_kernel_problem().0.solve().unwrap();
         assert!((sol.objective() - cold.objective()).abs() < 1e-9);
     }
 

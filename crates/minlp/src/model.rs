@@ -92,11 +92,6 @@ impl MinlpProblem {
         self.vars.len()
     }
 
-    /// Number of integer variables.
-    pub fn num_integer_vars(&self) -> usize {
-        self.vars.iter().filter(|v| v.integer).count()
-    }
-
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
@@ -346,11 +341,6 @@ impl MinlpProblem {
         Ok(())
     }
 
-    /// Removes a previously set warm-start incumbent.
-    pub fn clear_initial_incumbent(&mut self) {
-        self.initial_incumbent = None;
-    }
-
     /// Solves the problem with default [`SolverOptions`].
     ///
     /// # Errors
@@ -390,7 +380,7 @@ mod tests {
         assert_eq!(p.var_name(x).unwrap(), "x");
         assert_eq!(p.bounds(x).unwrap(), (0.0, 1.0));
         assert_eq!(p.num_vars(), 1);
-        assert_eq!(p.num_integer_vars(), 0);
+        assert!(!p.vars[0].integer);
     }
 
     #[test]

@@ -11,12 +11,18 @@ use std::time::{Duration, Instant};
 use mfa_alloc::solver::{Backend, Deadline, SkipPolicy, SolveRequest, WarmStart};
 use mfa_alloc::{AllocError, AllocationProblem};
 use mfa_explore::session::{self, Daemon, FrameError, FrameReader, StopSignal};
+use mfa_explore::DEFAULT_CACHE_CAPACITY;
 
 use crate::cache::{family_fingerprint, ServeCache};
 use crate::error::ServeError;
 use crate::protocol::{
     BackendKind, FromServe, SolveOutcome, StatsReport, ToServe, PROTOCOL_VERSION,
 };
+
+/// Bound on distinct request families the warm-start cache holds (LRU
+/// eviction of whole families); each family holds at most
+/// [`DEFAULT_CACHE_CAPACITY`] budget entries.
+const FAMILY_CAPACITY: usize = 32;
 
 /// Configuration of a [`ServeHandle`].
 #[derive(Debug, Clone)]
@@ -40,10 +46,6 @@ pub struct ServeOptions {
     /// Whether solves consult and feed the fingerprint-keyed warm-start
     /// cache (individual requests can still opt out per frame).
     pub warm_start: bool,
-    /// Bound on distinct request families the cache holds (FIFO eviction).
-    pub family_capacity: usize,
-    /// Bound on budget entries cached per family.
-    pub budget_capacity: usize,
     /// Per-request read timeout of the connection reader: a connection that
     /// produces no complete frame within this window *while no reply is
     /// pending on it* is dropped (and counted), so a stalled client cannot
@@ -66,8 +68,6 @@ impl Default for ServeOptions {
             batch_size: 4,
             degrade_margin: Duration::from_millis(50),
             warm_start: true,
-            family_capacity: 32,
-            budget_capacity: mfa_explore::DEFAULT_CACHE_CAPACITY,
             read_timeout: Some(Duration::from_secs(30)),
             spill: None,
         }
@@ -159,12 +159,10 @@ impl ServeHandle {
     pub fn spawn(addr: &str, options: ServeOptions) -> Result<ServeHandle, ServeError> {
         let (listener, stop) = session::bind(addr)?;
         let cache = match &options.spill {
-            Some(spec) => ServeCache::with_spill(
-                options.family_capacity,
-                options.budget_capacity,
-                open_spill(spec)?,
-            ),
-            None => ServeCache::new(options.family_capacity, options.budget_capacity),
+            Some(spec) => {
+                ServeCache::with_spill(FAMILY_CAPACITY, DEFAULT_CACHE_CAPACITY, open_spill(spec)?)
+            }
+            None => ServeCache::new(FAMILY_CAPACITY, DEFAULT_CACHE_CAPACITY),
         };
         let shared = Arc::new(Shared {
             stop: stop.clone(),
