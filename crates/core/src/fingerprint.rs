@@ -132,6 +132,29 @@ impl FingerprintHasher {
     pub fn finish(&self) -> Fingerprint {
         Fingerprint(self.state)
     }
+
+    /// A hasher that has absorbed everything [`Fingerprint::of_parts`]
+    /// writes before the bytes of its last part, for the parts `whole`
+    /// followed by one last part of `last_len` bytes. Writing that part's
+    /// bytes (in any split) and finishing gives `of_parts`' digest, so
+    /// callers whose last parts share a length and a prefix hash the shared
+    /// bytes once and clone the hasher.
+    pub fn before_last_part(version: u64, whole: &[&str], last_len: usize) -> Self {
+        let mut hasher = FingerprintHasher::with_header(version, whole.len() + 1);
+        for part in whole {
+            hasher.write_str(part);
+        }
+        hasher.write_u64(last_len as u64);
+        hasher
+    }
+
+    /// A hasher that has absorbed the version tag and the part count.
+    fn with_header(version: u64, parts: usize) -> Self {
+        let mut hasher = FingerprintHasher::new();
+        hasher.write_u64(version);
+        hasher.write_u64(parts as u64);
+        hasher
+    }
 }
 
 impl Fingerprint {
@@ -139,12 +162,11 @@ impl Fingerprint {
     /// parts. This is the standard entry point: `version` brackets the
     /// encoding revision, and every part is length-prefix framed.
     pub fn of_parts(version: u64, parts: &[&str]) -> Fingerprint {
-        let mut hasher = FingerprintHasher::new();
-        hasher.write_u64(version);
-        hasher.write_u64(parts.len() as u64);
-        for part in parts {
-            hasher.write_str(part);
-        }
+        let Some((last, whole)) = parts.split_last() else {
+            return FingerprintHasher::with_header(version, 0).finish();
+        };
+        let mut hasher = FingerprintHasher::before_last_part(version, whole, last.len());
+        hasher.write_bytes(last.as_bytes());
         hasher.finish()
     }
 }
@@ -167,6 +189,14 @@ mod tests {
         // committed sweep stores depend on it.
         let fp = Fingerprint::of_parts(1, &["alpha", "beta"]);
         assert_eq!(fp.to_hex(), "9a7be84621861e5523aa1fdb34592dd3");
+    }
+
+    #[test]
+    fn an_empty_part_list_hashes_its_header_only() {
+        let mut header = FingerprintHasher::new();
+        header.write_u64(3);
+        header.write_u64(0);
+        assert_eq!(Fingerprint::of_parts(3, &[]), header.finish());
     }
 
     #[test]
@@ -240,6 +270,29 @@ mod tests {
             parts.write_bytes(&data[cut..]);
 
             prop_assert_eq!(whole.finish(), parts.finish());
+        }
+
+        /// The hasher positioned before the last part, fed that part's bytes
+        /// in any split, reproduces `of_parts` over the same parts.
+        #[test]
+        fn before_last_part_resumes_of_parts(
+            whole in collection::vec(collection::vec(32usize..127, 0usize..12), 0usize..4),
+            last in collection::vec(32usize..127, 0usize..64),
+            split in 0usize..64,
+            version in 0usize..4,
+        ) {
+            let text = |codes: &[usize]| codes.iter().map(|&c| char::from(c as u8)).collect::<String>();
+            let whole: Vec<String> = whole.iter().map(|codes| text(codes)).collect();
+            let last = text(&last);
+            let mut parts: Vec<&str> = whole.iter().map(String::as_str).collect();
+
+            let (head, tail) = last.as_bytes().split_at(split.min(last.len()));
+            let mut resumed = FingerprintHasher::before_last_part(version as u64, &parts, last.len());
+            resumed.write_bytes(head);
+            resumed.write_bytes(tail);
+
+            parts.push(&last);
+            prop_assert_eq!(resumed.finish(), Fingerprint::of_parts(version as u64, &parts));
         }
 
         /// Distinct part lists give distinct digests (no accidental

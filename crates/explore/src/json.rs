@@ -175,16 +175,33 @@ impl Json {
             Json::Obj(pairs) => {
                 out.push('{');
                 for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(key, out);
-                    out.push(':');
+                    write_member_key(i, key, out);
                     value.write(out);
                 }
                 out.push('}');
             }
         }
+    }
+
+    /// Writes an object with the value of `key` left out, as the text
+    /// before it and the text after it: `head + v + tail` is the object's
+    /// encoding with `v` as that value. `None` when the value is not an
+    /// object or has no such key.
+    pub(crate) fn split_at_value(&self, key: &str) -> Option<(String, String)> {
+        let Json::Obj(pairs) = self else {
+            return None;
+        };
+        let at = pairs.iter().position(|(k, _)| k == key)?;
+        let (mut head, mut tail) = (String::from("{"), String::new());
+        for (i, (k, value)) in pairs.iter().enumerate() {
+            let out = if i <= at { &mut head } else { &mut tail };
+            write_member_key(i, k, out);
+            if i != at {
+                value.write(out);
+            }
+        }
+        tail.push('}');
+        Some((head, tail))
     }
 }
 
@@ -194,6 +211,16 @@ impl fmt::Display for Json {
         self.write(&mut out);
         f.write_str(&out)
     }
+}
+
+/// The separator (before every member but the first) and the `"key":` of
+/// an object member.
+fn write_member_key(index: usize, key: &str, out: &mut String) {
+    if index > 0 {
+        out.push(',');
+    }
+    write_string(key, out);
+    out.push(':');
 }
 
 /// JSON string literal with the escapes required by RFC 8259.
@@ -516,6 +543,41 @@ mod tests {
             doc.to_string(),
             r#"{"zeta":1,"alpha":[null,true],"nested":{"k":"v","n":2.5}}"#
         );
+    }
+
+    #[test]
+    fn a_split_object_rejoins_around_any_value() {
+        let nested = Json::obj(vec![
+            ("k", Json::Arr(vec![Json::Num(1.5), Json::Null])),
+            ("n", Json::obj(vec![("deep", Json::str("x"))])),
+        ]);
+        let base = Json::obj(vec![
+            ("first", Json::Bool(false)),
+            ("middle", Json::Bool(false)),
+            ("last", Json::Bool(false)),
+        ]);
+        for key in ["first", "middle", "last"] {
+            let (head, tail) = base.split_at_value(key).unwrap();
+            for value in [Json::Num(0.25), nested.clone()] {
+                let Json::Obj(mut pairs) = base.clone() else {
+                    unreachable!()
+                };
+                pairs.iter_mut().find(|(k, _)| k == key).unwrap().1 = value.clone();
+                assert_eq!(
+                    format!("{head}{value}{tail}"),
+                    Json::Obj(pairs).to_string(),
+                    "split at {key}"
+                );
+            }
+        }
+        // A lone member splits into the braces around its value.
+        let single = Json::obj(vec![("only", Json::Null)]);
+        assert_eq!(
+            single.split_at_value("only"),
+            Some((r#"{"only":"#.to_owned(), "}".to_owned()))
+        );
+        assert_eq!(base.split_at_value("absent"), None);
+        assert_eq!(Json::Arr(vec![]).split_at_value("first"), None);
     }
 
     #[test]

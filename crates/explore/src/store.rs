@@ -1,10 +1,10 @@
 //! Content-addressed, resumable sweep store.
 //!
 //! Persists every solved sweep point under a [`Fingerprint`] of everything
-//! that determines its result — the fully-instantiated
-//! [`AllocationProblem`](mfa_alloc::AllocationProblem) at the grid point, the
-//! behaviour-relevant solver configuration (label stripped), the executor's
-//! warm-start flag and the code-revision [`STORE_VERSION`] — so that
+//! that determines its result — the fully-instantiated [`AllocationProblem`]
+//! at the grid point, the behaviour-relevant solver configuration (label
+//! stripped), the executor's warm-start flag and the code-revision
+//! [`STORE_VERSION`] — so that
 //!
 //! * a re-run of the *same* grid replays every stored unit and computes
 //!   nothing,
@@ -52,8 +52,9 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use mfa_alloc::fingerprint::Fingerprint;
+use mfa_alloc::fingerprint::{Fingerprint, FingerprintHasher};
 use mfa_alloc::solver::WarmStart;
+use mfa_alloc::AllocationProblem;
 use mfa_platform::ResourceBudget;
 
 use crate::executor::{SweepPoint, UnitOutput, WorkUnit};
@@ -585,78 +586,84 @@ fn config_json(grid: &SweepGrid, series: usize, warm_start: bool) -> Result<Stri
     .to_string())
 }
 
-/// The fully-instantiated problem document at one grid point, plus its
-/// resolved per-FPGA budget.
-fn problem_doc(
-    grid: &SweepGrid,
-    series: usize,
-    budget_idx: usize,
-) -> Result<(Json, ResourceBudget), ExploreError> {
-    let (case_idx, platform_idx, _) = grid.series_key(series);
-    let instance =
-        grid.cases[case_idx].problem_at(&grid.platforms[platform_idx], &grid.budgets[budget_idx]);
-    let budget = *instance.budget();
-    let doc = wire::problem_to_json(&instance).map_err(codec_err)?;
-    Ok((doc, budget))
+/// The store's keys for one series, encoded once. The series' problem on
+/// its platform point is written once, as the text before and after its
+/// budget value; a point's problem document is that text around the
+/// point's budget, since the points of a series differ in nothing else.
+/// Every fingerprint equals [`Fingerprint::of_parts`] over
+/// [`STORE_VERSION`], the series' [`config_json`] and the whole document.
+struct SeriesKey {
+    config: String,
+    /// The series' problem on its platform point, under the case's base
+    /// budget (what a budget point resolves against).
+    problem: AllocationProblem,
+    /// Its document before and after the budget value.
+    head: String,
+    tail: String,
+    /// Hasher states after the config and the head, one per document
+    /// length seen: the length frames the document, so it comes first.
+    resumes: Vec<(usize, FingerprintHasher)>,
 }
 
-/// Erases the budget dimension from a problem document, leaving the part
-/// shared by all points of a series.
-fn erase_budget(mut doc: Json) -> Json {
-    if let Json::Obj(pairs) = &mut doc {
-        for (key, value) in pairs {
-            if key == "budget" {
-                *value = Json::Null;
-            }
-        }
+impl SeriesKey {
+    fn new(grid: &SweepGrid, series: usize, warm_start: bool) -> Result<Self, ExploreError> {
+        let (case_idx, platform_idx, _) = grid.series_key(series);
+        let problem = grid.platforms[platform_idx].apply(grid.cases[case_idx].base());
+        let (head, tail) = wire::problem_to_json(&problem)
+            .map_err(codec_err)?
+            .split_at_value("budget")
+            .expect("a problem document holds a budget");
+        Ok(SeriesKey {
+            config: config_json(grid, series, warm_start)?,
+            problem,
+            head,
+            tail,
+            resumes: Vec::new(),
+        })
     }
-    doc
-}
 
-/// The one fingerprint formula of the store: [`STORE_VERSION`] over a
-/// series' [`config_json`] and a problem document (a point's, or the
-/// series' with its budget erased).
-fn store_fingerprint(config: &str, doc: &str) -> Fingerprint {
-    Fingerprint::of_parts(STORE_VERSION as u64, &[config, doc])
-}
+    /// The series fingerprint: the document with its budget erased.
+    fn series_fp(&mut self) -> Fingerprint {
+        self.fingerprint("null")
+    }
 
-/// Fingerprint and resolved per-FPGA budget of one grid point, from one
-/// instance of its problem. `config` is the series' [`config_json`]; the
-/// problem document is written into `text`, a buffer callers reuse.
-fn point_key(
-    grid: &SweepGrid,
-    series: usize,
-    budget_idx: usize,
-    config: &str,
-    text: &mut String,
-) -> Result<(Fingerprint, ResourceBudget), ExploreError> {
-    let (doc, budget) = problem_doc(grid, series, budget_idx)?;
-    text.clear();
-    doc.write(text);
-    Ok((store_fingerprint(config, text), budget))
-}
+    /// Fingerprint and resolved per-FPGA budget of one budget point.
+    fn point(
+        &mut self,
+        grid: &SweepGrid,
+        budget_idx: usize,
+    ) -> Result<(Fingerprint, ResourceBudget), ExploreError> {
+        let budget = grid.budgets[budget_idx].budget(&self.problem);
+        let value = wire::budget_to_json(&budget).map_err(codec_err)?;
+        Ok((self.fingerprint(&value.to_string()), budget))
+    }
 
-/// Series fingerprint from the series' [`config_json`], writing the
-/// budget-erased problem document into `text`.
-fn series_key(
-    grid: &SweepGrid,
-    series: usize,
-    config: &str,
-    text: &mut String,
-) -> Result<Fingerprint, ExploreError> {
-    // The budget axis does not affect the series identity, so any budget
-    // index yields the same document once the budget is erased.
-    let (doc, _) = problem_doc(grid, series, 0)?;
-    text.clear();
-    erase_budget(doc).write(text);
-    Ok(store_fingerprint(config, text))
+    /// Fingerprint of the series' document with `value` as its budget.
+    fn fingerprint(&mut self, value: &str) -> Fingerprint {
+        let len = self.head.len() + value.len() + self.tail.len();
+        let mut hasher = match self.resumes.iter().find(|(known, _)| *known == len) {
+            Some((_, resume)) => resume.clone(),
+            None => {
+                let mut resume =
+                    FingerprintHasher::before_last_part(STORE_VERSION as u64, &[&self.config], len);
+                resume.write_bytes(self.head.as_bytes());
+                self.resumes.push((len, resume.clone()));
+                resume
+            }
+        };
+        hasher.write_bytes(value.as_bytes());
+        hasher.write_bytes(self.tail.as_bytes());
+        hasher.finish()
+    }
 }
 
 /// Content fingerprint of one grid point: a pure function of the
 /// fully-instantiated problem at `(series, budget_idx)`, the series'
 /// solver configuration, the executor warm-start mode and [`STORE_VERSION`].
 /// Chunking and thread/worker partition never enter, so the fingerprint is
-/// invariant under them by construction.
+/// invariant under them by construction. It is the digest [`plan_store`]
+/// gives the point; both encode the point's problem document as the
+/// series' document around the point's budget.
 ///
 /// # Errors
 ///
@@ -668,8 +675,8 @@ pub fn point_fingerprint(
     budget_idx: usize,
     warm_start: bool,
 ) -> Result<Fingerprint, ExploreError> {
-    let config = config_json(grid, series, warm_start)?;
-    point_key(grid, series, budget_idx, &config, &mut String::new()).map(|(fp, _)| fp)
+    let (fp, _) = SeriesKey::new(grid, series, warm_start)?.point(grid, budget_idx)?;
+    Ok(fp)
 }
 
 /// Series fingerprint: like [`point_fingerprint`] but with the budget erased
@@ -686,8 +693,7 @@ pub fn series_fingerprint(
     series: usize,
     warm_start: bool,
 ) -> Result<Fingerprint, ExploreError> {
-    let config = config_json(grid, series, warm_start)?;
-    series_key(grid, series, &config, &mut String::new())
+    Ok(SeriesKey::new(grid, series, warm_start)?.series_fp())
 }
 
 // ---------------------------------------------------------------------------
@@ -732,6 +738,13 @@ impl StorePlan {
 /// fully-stored units for replay, and collects neighbour warm-start seeds
 /// for the rest.
 ///
+/// Each series' configuration and problem are encoded once, and each
+/// point's budget only: a point's document is the series' document around
+/// the point's budget, and points whose documents share a length hash the
+/// shared part once. The digests are [`point_fingerprint`]'s and
+/// [`series_fingerprint`]'s. Nothing is kept across calls, so every plan
+/// fingerprints its whole grid.
+///
 /// Seeds are restricted to stored points **outside** the current grid's
 /// fingerprint set. The snapshot the seeds are drawn from is fixed here, at
 /// planning time — before any unit runs — so the hints every unit sees are a
@@ -763,24 +776,23 @@ pub fn plan_store(
 ) -> Result<StorePlan, ExploreError> {
     // Fingerprint every point of every unit first: the exclusion set must
     // cover the whole grid before any seed is selected. Each series' config
-    // is encoded once, each point's problem once, into one reused buffer.
-    let mut series_keys: HashMap<usize, (String, Fingerprint)> = HashMap::new();
-    let mut text = String::new();
+    // and problem are encoded once, each point's budget once.
+    let mut series_keys: HashMap<usize, (SeriesKey, Fingerprint)> = HashMap::new();
     let mut keyed: Vec<(Fingerprint, Vec<Fingerprint>, Vec<ResourceBudget>)> =
         Vec::with_capacity(units.len());
     for unit in units {
-        let (config, series_fp) = match series_keys.entry(unit.series) {
+        let (key, series_fp) = match series_keys.entry(unit.series) {
             Entry::Occupied(known) => known.into_mut(),
             Entry::Vacant(slot) => {
-                let config = config_json(grid, unit.series, warm_start)?;
-                let series_fp = series_key(grid, unit.series, &config, &mut text)?;
-                slot.insert((config, series_fp))
+                let mut key = SeriesKey::new(grid, unit.series, warm_start)?;
+                let series_fp = key.series_fp();
+                slot.insert((key, series_fp))
             }
         };
         let mut point_fps = Vec::with_capacity(unit.end - unit.start);
         let mut budgets = Vec::with_capacity(unit.end - unit.start);
         for budget_idx in unit.start..unit.end {
-            let (fp, budget) = point_key(grid, unit.series, budget_idx, config, &mut text)?;
+            let (fp, budget) = key.point(grid, budget_idx)?;
             point_fps.push(fp);
             budgets.push(budget);
         }
@@ -944,6 +956,8 @@ mod tests {
     use crate::plan_units;
     use mfa_alloc::cases::PaperCase;
     use mfa_alloc::gpa::GpaOptions;
+    use mfa_alloc::solver::{GpDualState, WarmStartReport};
+    use mfa_platform::{DeviceGroup, FpgaDevice, HeterogeneousPlatform, ResourceVec};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mfa-store-test-{tag}-{}", std::process::id()));
@@ -1296,69 +1310,179 @@ mod tests {
     #[test]
     fn fingerprints_are_pinned_and_the_planner_reproduces_them() {
         // Two series (Alex-16 on 2 and on 4 FPGAs), four budgets each.
-        let grid = SweepGrid::builder()
+        let fpga_counts = SweepGrid::builder()
             .case(CaseSpec::from_paper(PaperCase::Alex16OnTwoFpgas))
             .fpga_counts([2, 4])
             .constraints(constraint_grid(0.55, 0.85, 4).unwrap())
             .backend(SolverSpec::gpa(GpaOptions::fast()))
             .build()
             .unwrap();
-        assert_eq!(grid.num_series(), 2);
+        assert_eq!(fpga_counts.num_series(), 2);
+        // One series on a two-group fleet whose second group is derated, so
+        // its document carries the optional `wcet_scale` and `budget_scale`
+        // fields, under three per-resource budgets.
+        let fleet = HeterogeneousPlatform::new(
+            "2×VU9P + 1×KU115 (derated)",
+            vec![
+                DeviceGroup::new(FpgaDevice::vu9p(), 2),
+                DeviceGroup::new(FpgaDevice::ku115(), 1)
+                    .with_wcet_scale(1.25)
+                    .with_budget_scale(0.8),
+            ],
+        );
+        let per_resource = SweepGrid::builder()
+            .case(CaseSpec::from_paper(PaperCase::Alex16OnTwoFpgas))
+            .platform(crate::PlatformSpec::platform(fleet))
+            .budgets([
+                ResourceBudget::new(ResourceVec::new(0.9, 0.9, 0.6, 0.75), 0.9),
+                ResourceBudget::new(ResourceVec::new(0.7, 0.8, 0.65, 0.6), 0.75),
+                ResourceBudget::new(ResourceVec::new(0.55, 0.6, 0.5, 0.85), 1.0),
+            ])
+            .backend(SolverSpec::gpa(GpaOptions::fast()))
+            .build()
+            .unwrap();
         // Every stored segment is keyed by these digests: a change to the
         // canonical encodings or to the fingerprint formula fails here, and
         // must come with a STORE_VERSION bump.
-        for (series, budget_idx, point_hex, series_hex) in [
+        for (grid, series, budget_idx, point_hex, series_hex) in [
             (
+                &fpga_counts,
                 0,
                 1,
                 "8ebb9e93a7c68e138945e6df90cd24d8",
                 "14b3d17a6f97b5d17a9f5f210dec8f43",
             ),
             (
+                &fpga_counts,
                 1,
                 3,
                 "90031e9a8ceb9c142958684c2fdf0694",
                 "4789a6c9e92627c3880ec920f1873cff",
             ),
+            (
+                &per_resource,
+                0,
+                0,
+                "4a0dac4b438c4c2c144a29df011ffdeb",
+                "4e0c27a4bc6c2a84a55f9d8cab4bf703",
+            ),
+            (
+                &per_resource,
+                0,
+                1,
+                "571c6913b6807a6cdc25e26b7910a799",
+                "4e0c27a4bc6c2a84a55f9d8cab4bf703",
+            ),
+            (
+                &per_resource,
+                0,
+                2,
+                "3b346ecfe12303d4804f6ca73604fa3e",
+                "4e0c27a4bc6c2a84a55f9d8cab4bf703",
+            ),
         ] {
             assert_eq!(
-                point_fingerprint(&grid, series, budget_idx, true)
+                point_fingerprint(grid, series, budget_idx, true)
                     .unwrap()
                     .to_hex(),
                 point_hex
             );
             assert_eq!(
-                series_fingerprint(&grid, series, true).unwrap().to_hex(),
+                series_fingerprint(grid, series, true).unwrap().to_hex(),
                 series_hex
             );
         }
 
-        // Units smaller than a series: the planner's keys are the public
-        // fingerprints and the instance budget, point by point.
-        let units = plan_units(&grid, 3).unwrap();
-        assert_eq!(units.len(), 4);
         let dir = temp_dir("pinned");
         let mut store = SweepStore::open(&dir).unwrap();
-        let plan = plan_store(&grid, &units, true, &mut store).unwrap();
-        for (unit, unit_plan) in units.iter().zip(&plan.units) {
-            assert_eq!(
-                unit_plan.series_fp,
-                series_fingerprint(&grid, unit.series, true).unwrap()
-            );
-            assert_eq!(unit_plan.point_fps.len(), unit.end - unit.start);
-            assert_eq!(unit_plan.budgets.len(), unit.end - unit.start);
-            let (case_idx, platform_idx, _) = grid.series_key(unit.series);
-            for (k, budget_idx) in (unit.start..unit.end).enumerate() {
+        for grid in [&fpga_counts, &per_resource] {
+            // Units smaller than a series: the planner's keys are the public
+            // fingerprints and the instance budget, point by point.
+            let units = plan_units(grid, 2).unwrap();
+            assert!(units.len() > grid.num_series());
+            let plan = plan_store(grid, &units, true, &mut store).unwrap();
+            for (unit, unit_plan) in units.iter().zip(&plan.units) {
                 assert_eq!(
-                    unit_plan.point_fps[k],
-                    point_fingerprint(&grid, unit.series, budget_idx, true).unwrap()
+                    unit_plan.series_fp,
+                    series_fingerprint(grid, unit.series, true).unwrap()
                 );
-                let instance = grid.cases[case_idx]
-                    .problem_at(&grid.platforms[platform_idx], &grid.budgets[budget_idx]);
-                assert_eq!(unit_plan.budgets[k], *instance.budget());
+                assert_eq!(unit_plan.point_fps.len(), unit.end - unit.start);
+                assert_eq!(unit_plan.budgets.len(), unit.end - unit.start);
+                let (case_idx, platform_idx, _) = grid.series_key(unit.series);
+                for (k, budget_idx) in (unit.start..unit.end).enumerate() {
+                    assert_eq!(
+                        unit_plan.point_fps[k],
+                        point_fingerprint(grid, unit.series, budget_idx, true).unwrap()
+                    );
+                    let instance = grid.cases[case_idx]
+                        .problem_at(&grid.platforms[platform_idx], &grid.budgets[budget_idx]);
+                    assert_eq!(unit_plan.budgets[k], *instance.budget());
+                }
             }
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stored_lines_are_pinned() {
+        // Committed segments hold these bytes and the store-server's frames
+        // carry them: a change to the entry encoding fails here, and must
+        // come with a STORE_VERSION bump.
+        let series = Fingerprint::of_parts(1, &["series"]);
+        let budget = ResourceBudget::new(ResourceVec::new(0.6, 0.55, 0.7, 0.65), 0.9);
+        let solved = StoreEntry {
+            series,
+            budget,
+            point: Some(SweepPoint {
+                resource_constraint: 0.7,
+                budget,
+                initiation_interval_ms: 7.19,
+                average_utilization: 0.625,
+                spreading: 1.5,
+                solve_seconds: 0.0,
+                relaxation_gap: 0.03125,
+                bb_nodes: 12,
+                barrier_iterations: 19,
+                factorizations: 23,
+                simplex_pivots: 140,
+                dropped_cus: 1,
+                moved_cus: 0,
+                migration_cost: 0.0,
+                warm_start: WarmStartReport {
+                    ii_hint_used: true,
+                    dual_hint_used: false,
+                    incumbent_used: true,
+                },
+            }),
+            warm: WarmStart::none()
+                .with_relaxed_ii(6.5)
+                .with_cu_counts(vec![2, 1, 3])
+                .with_gp_dual(GpDualState {
+                    barrier_t: 1e9,
+                    duals: vec![0.25, 1.5e-7],
+                }),
+        };
+        let skipped = StoreEntry {
+            point: None,
+            warm: WarmStart::none(),
+            ..solved.clone()
+        };
+        for (name, entry, line) in [
+            (
+                "solved",
+                &solved,
+                r#"{"v":1,"fp":"28e50ec9185fe1e8777ab369388c03ce","series":"6f5b3b06965fe1e8777ac4dafff9952a","budget":{"resources":{"lut":0.6,"ff":0.55,"bram":0.7,"dsp":0.65},"bandwidth":0.9},"point":{"resource_constraint":0.7,"budget":{"resources":{"lut":0.6,"ff":0.55,"bram":0.7,"dsp":0.65},"bandwidth":0.9},"initiation_interval_ms":7.19,"average_utilization":0.625,"spreading":1.5,"solve_seconds":0,"relaxation_gap":0.03125,"bb_nodes":12,"barrier_iterations":19,"factorizations":23,"simplex_pivots":140,"dropped_cus":1,"moved_cus":0,"migration_cost":0,"warm_start":"ii+incumbent"},"warm":{"relaxed_ii_ms":6.5,"cu_counts":[2,1,3],"gp_dual":{"barrier_t":1000000000,"duals":[0.25,0.00000015]}}}"#,
+            ),
+            (
+                "skipped",
+                &skipped,
+                r#"{"v":1,"fp":"eccd833914cc98adff96834eef308512","series":"6f5b3b06965fe1e8777ac4dafff9952a","budget":{"resources":{"lut":0.6,"ff":0.55,"bram":0.7,"dsp":0.65},"bandwidth":0.9},"point":null,"warm":null}"#,
+            ),
+        ] {
+            let fp = Fingerprint::of_parts(1, &[name]);
+            assert_eq!(entry_to_json(&fp, entry).unwrap().to_string(), line);
+            assert_eq!(decode_entry(line), Ok(Some((fp, entry.clone()))));
+        }
     }
 
     #[test]

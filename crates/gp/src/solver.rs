@@ -117,26 +117,6 @@ pub struct SolverOptions {
     pub initial_dual: Option<GpDualState>,
 }
 
-impl SolverOptions {
-    /// Default options warm-started from `point` (see
-    /// [`SolverOptions::initial_point`]).
-    pub fn warm_started(point: Vec<f64>) -> Self {
-        SolverOptions {
-            initial_point: Some(point),
-            ..SolverOptions::default()
-        }
-    }
-
-    /// Default options warm-started from `point` with the dual state of a
-    /// prior solve (see [`SolverOptions::initial_dual`]).
-    pub fn warm_started_with_duals(point: Vec<f64>, dual: GpDualState) -> Self {
-        SolverOptions {
-            initial_point: Some(point),
-            initial_dual: Some(dual),
-        }
-    }
-}
-
 /// Solution of a [`GpProblem`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpSolution {

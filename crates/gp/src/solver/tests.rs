@@ -154,11 +154,10 @@ fn warm_start_skips_phase_one_and_keeps_the_optimum() {
     // A strictly interior point a few percent off the optimum: II = 2.3,
     // N_k = WCET_k / 2.2 (all constraint slacks strictly positive).
     let warm = gp
-        .solve_with(&SolverOptions::warm_started(vec![
-            2.3,
-            3.0 / 2.2,
-            5.0 / 2.2,
-        ]))
+        .solve_with(&SolverOptions {
+            initial_point: Some(vec![2.3, 3.0 / 2.2, 5.0 / 2.2]),
+            ..SolverOptions::default()
+        })
         .unwrap();
     assert!(warm.warm_started());
     assert!(
@@ -182,7 +181,12 @@ fn invalid_or_infeasible_warm_starts_are_ignored() {
         vec![0.5, 10.0, 10.0],           // infeasible (budget blown)
         vec![2.1, 3.0 / 2.1, 5.0 / 2.1], // on the boundary, not strict
     ] {
-        let sol = gp.solve_with(&SolverOptions::warm_started(bad)).unwrap();
+        let sol = gp
+            .solve_with(&SolverOptions {
+                initial_point: Some(bad),
+                ..SolverOptions::default()
+            })
+            .unwrap();
         assert!(!sol.warm_started());
         assert!(close(sol.value(ii), cold.value(ii), 1e-6));
     }
@@ -205,10 +209,10 @@ fn dual_warm_start_skips_the_early_barrier_path() {
     // solve's dual state: phase II starts near the previous final t.
     let warm_point = vec![2.3, 3.0 / 2.2, 5.0 / 2.2];
     let warm = gp
-        .solve_with(&SolverOptions::warm_started_with_duals(
-            warm_point.clone(),
-            dual,
-        ))
+        .solve_with(&SolverOptions {
+            initial_point: Some(warm_point.clone()),
+            initial_dual: Some(dual),
+        })
         .unwrap();
     assert!(warm.warm_started());
     assert!(warm.dual_warm_started());
@@ -228,7 +232,10 @@ fn dual_warm_start_skips_the_early_barrier_path() {
     // The dual start also beats the primal-only warm start, which still
     // walks the whole barrier path from t = INITIAL_BARRIER.
     let primal_only = gp
-        .solve_with(&SolverOptions::warm_started(warm_point))
+        .solve_with(&SolverOptions {
+            initial_point: Some(warm_point),
+            ..SolverOptions::default()
+        })
         .unwrap();
     assert!(!primal_only.dual_warm_started());
     assert!(warm.barrier_iterations() < primal_only.barrier_iterations());
@@ -263,10 +270,10 @@ fn invalid_dual_states_are_ignored() {
         },
     ] {
         let sol = gp
-            .solve_with(&SolverOptions::warm_started_with_duals(
-                warm_point.clone(),
-                bad,
-            ))
+            .solve_with(&SolverOptions {
+                initial_point: Some(warm_point.clone()),
+                initial_dual: Some(bad),
+            })
             .unwrap();
         assert!(sol.warm_started());
         assert!(!sol.dual_warm_started());
@@ -518,10 +525,10 @@ fn paper_cases_match_the_reference_evaluation() {
                     .map(|(k, &v)| (k.0 / ii0 * 1.02).max(cold.value(v).min(1.0) * 1.001)),
             );
             let warm = gp
-                .solve_with(&SolverOptions::warm_started_with_duals(
-                    point,
-                    cold.dual_state().unwrap().clone(),
-                ))
+                .solve_with(&SolverOptions {
+                    initial_point: Some(point),
+                    initial_dual: Some(cold.dual_state().unwrap().clone()),
+                })
                 .unwrap();
             assert!(
                 warm.warm_started() && warm.dual_warm_started(),
